@@ -1,0 +1,39 @@
+"""Byte-for-byte comparison of CLI JSON output against captured golden files.
+
+Each file in `tests/golden/` is the stdout of ``qtensor <args> --output json``
+captured before the integer-only rewrite of the coefficient layer.  Any change
+to a coefficient's canonical form or to the rendering shows up here as a
+byte difference.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from qtensor import cli
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+SIZES = {
+    "vectors": "--n 3 --r 4",
+    "norms": "--n 3 --r 4",
+    "decompose": "--n 3 --r 4",
+    "specht": "--n 3 --r 4",
+    "psi": "--n 3 --r 4 --shape 3,1",
+    "invariants": "--n 3 --r 4",
+}
+CASES = [f"{cmd} {size}" for cmd, size in SIZES.items()] + ["invariants --n 3 --r 3"]
+FIELDS = {"generic": "", "q0_3_2": " --q0 3/2"}
+
+
+def golden_path(case: str, field: str) -> Path:
+    stem = case.replace(" --", "_").replace(" ", "").replace(",", "-")
+    return GOLDEN_DIR / f"{stem}_{field}.json"
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@pytest.mark.parametrize("case", CASES)
+def test_cli_json_matches_golden(case, field, capsys):
+    argv = (case + FIELDS[field]).split() + ["--output", "json"]
+    assert cli.run_cli(argv) == 0
+    assert capsys.readouterr().out == golden_path(case, field).read_text(encoding="utf-8")
