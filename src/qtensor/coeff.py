@@ -4,6 +4,23 @@ Integer Laurent polynomials in q, their fraction field, balanced
 q-integers and q-factorials, and evaluation at a rational q.  All values
 are immutable; every operation returns a new value, so sharing between
 threads needs no synchronization.
+
+Canonical form.  A `RatFunc` is stored as (num, den): integer Laurent
+polynomials with no common factor other than a unit +-q^k, den with lowest
+exponent 0 and a positive leading coefficient, and the integer coefficients
+of num and den together having gcd 1.  Each fraction has exactly one such
+pair, so equality is structural.
+
+The canonical form is computed in integers only.  The polynomial gcd is the
+heuristic GCD of Char, Geddes & Gonnet (1989): evaluate both primitive parts
+at an integer xi, take the integer gcd, and read the candidate back from its
+symmetric base-xi digits.  A candidate is accepted only after exact integer
+trial division of both operands; with xi above twice the root bound, such a
+candidate is the gcd.  After a fixed number of xi values the gcd falls back
+to a primitive pseudo-remainder sequence (Brown 1971).  Sums and products
+that cannot cancel a polynomial factor skip the gcd: a product with a
+monomial +-c*q^k only fixes the integer content, and a sum over a shared
+denominator b needs only gcd(a + c, b).
 """
 
 from __future__ import annotations
@@ -11,7 +28,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from functools import lru_cache
+from math import gcd, isqrt
 
 __all__ = [
     "LaurentPoly",
@@ -28,6 +46,12 @@ __all__ = [
 _EXPONENT_LIMIT = 10**6
 
 
+def _check_exponents(terms: dict[int, int]) -> None:
+    lo, hi = min(terms), max(terms)
+    if lo <= -_EXPONENT_LIMIT or hi >= _EXPONENT_LIMIT:
+        raise OverflowError(f"exponent {lo if lo <= -_EXPONENT_LIMIT else hi} out of bounds")
+
+
 class LaurentPoly:
     """Sparse integer Laurent polynomial in q (exponent -> coefficient map).
 
@@ -37,12 +61,9 @@ class LaurentPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[int, int] | None = None):
-        clean: dict[int, int] = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    assert -_EXPONENT_LIMIT < e < _EXPONENT_LIMIT, f"exponent {e} out of bounds"
-                    clean[e] = c
+        clean = {e: c for e, c in terms.items() if c} if terms else {}
+        if clean:
+            _check_exponents(clean)
         self._terms = clean
 
     # -- constructors ------------------------------------------------------
@@ -75,7 +96,8 @@ class LaurentPoly:
 
     @property
     def is_one(self) -> bool:
-        return self._terms == {0: 1}
+        terms = self._terms
+        return len(terms) == 1 and terms.get(0) == 1
 
     @property
     def is_constant(self) -> bool:
@@ -94,13 +116,6 @@ class LaurentPoly:
     def coeff(self, e: int) -> int:
         return self._terms.get(e, 0)
 
-    def content(self) -> int:
-        """gcd of the integer coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self._terms.values():
-            g = gcd(g, c)
-        return g
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: LaurentPoly | int) -> LaurentPoly:
@@ -115,16 +130,12 @@ class LaurentPoly:
                 out[e] = s
             else:
                 out.pop(e, None)
-        res = LaurentPoly.__new__(LaurentPoly)
-        res._terms = out
-        return res
+        return _laurent(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> LaurentPoly:
-        res = LaurentPoly.__new__(LaurentPoly)
-        res._terms = {e: -c for e, c in self._terms.items()}
-        return res
+        return _laurent({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: LaurentPoly | int) -> LaurentPoly:
         if isinstance(other, int):
@@ -140,24 +151,28 @@ class LaurentPoly:
         if isinstance(other, int):
             if other == 0:
                 return _L_ZERO
-            res = LaurentPoly.__new__(LaurentPoly)
-            res._terms = {e: c * other for e, c in self._terms.items()}
-            return res
+            return _laurent({e: c * other for e, c in self._terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        out: dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        assert all(-_EXPONENT_LIMIT < e < _EXPONENT_LIMIT for e in out)
-        res = LaurentPoly.__new__(LaurentPoly)
-        res._terms = out
-        return res
+        short, long = self._terms, other._terms
+        if len(short) > len(long):
+            short, long = long, short
+        if len(short) == 1:
+            ((k, m),) = short.items()
+            out = {e + k: c * m for e, c in long.items()}
+        else:
+            out = {}
+            for e1, c1 in short.items():
+                for e2, c2 in long.items():
+                    e = e1 + e2
+                    s = out.get(e, 0) + c1 * c2
+                    if s:
+                        out[e] = s
+                    else:
+                        out.pop(e, None)
+        if out:
+            _check_exponents(out)
+        return _laurent(out)
 
     __rmul__ = __mul__
 
@@ -175,9 +190,7 @@ class LaurentPoly:
 
     def shifted(self, k: int) -> LaurentPoly:
         """Multiply by q^k."""
-        res = LaurentPoly.__new__(LaurentPoly)
-        res._terms = {e + k: c for e, c in self._terms.items()}
-        return res
+        return _laurent({e + k: c for e, c in self._terms.items()})
 
     def evaluate(self, q0: Fraction) -> Fraction:
         if q0 == 0:
@@ -223,6 +236,13 @@ class LaurentPoly:
         return f"LaurentPoly({self})"
 
 
+def _laurent(terms: dict[int, int]) -> LaurentPoly:
+    # Caller guarantees no zero coefficient and exponents within bounds.
+    res = LaurentPoly.__new__(LaurentPoly)
+    res._terms = terms
+    return res
+
+
 _L_ZERO = LaurentPoly()
 _L_ONE = LaurentPoly({0: 1})
 
@@ -246,91 +266,145 @@ def qfact(m: int) -> LaurentPoly:
     return out
 
 
-# -- polynomial gcd over the rationals --------------------------------------
+# -- integer polynomial gcd ---------------------------------------------------
 #
-# Dense low-to-high coefficient lists with a nonzero constant term; the
+# Dense low-to-high int coefficient lists with a nonzero constant term; the
 # caller shifts out the q-valuation first so units q^k never enter the gcd.
+
+_HEU_GCD_TRIES = 6
 
 
 def _dense(p: LaurentPoly) -> tuple[int, list[int]]:
-    lo, hi = p.min_exp(), p.max_exp()
-    return lo, [p.coeff(e) for e in range(lo, hi + 1)]
+    terms = p._terms
+    lo, hi = min(terms), max(terms)
+    get = terms.get
+    return lo, [get(e, 0) for e in range(lo, hi + 1)]
 
 
-def _trim(cs: list[Fraction]) -> list[Fraction]:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
-def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = list(a)
-    inv_lead = 1 / b[-1]
-    while len(a) >= len(b):
-        f = a[-1] * inv_lead
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[shift + i] -= f * c
-        _trim(a)
-        if not a:
-            break
-    return a
-
-
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    while b:
-        a, b = b, _poly_mod(a, b)
-    lead = a[-1]
-    return [c / lead for c in a]
-
-
-def _poly_divexact(a: list[Fraction], g: list[Fraction]) -> list[Fraction]:
-    quot = [Fraction(0)] * (len(a) - len(g) + 1)
+def _divide(a: list[int], b: list[int]) -> list[int] | None:
+    """Quotient a / b in Z[q], or None when b does not divide a exactly."""
+    nb = len(b) - 1
+    nq = len(a) - nb
+    if nq <= 0 or a[0] % b[0]:
+        return None
     rem = list(a)
-    inv_lead = 1 / g[-1]
-    while rem and len(rem) >= len(g):
-        f = rem[-1] * inv_lead
-        shift = len(rem) - len(g)
-        quot[shift] = f
-        for i, c in enumerate(g):
-            rem[shift + i] -= f * c
-        _trim(rem)
-    assert not rem, "inexact polynomial division"
+    lead = b[-1]
+    quot = [0] * nq
+    for i in range(nq - 1, -1, -1):
+        c, r = divmod(rem[i + nb], lead)
+        if r:
+            return None
+        if c:
+            quot[i] = c
+            for j in range(nb):
+                rem[i + j] -= c * b[j]
+    return None if any(rem[:nb]) else quot
+
+
+def _divexact(a: list[int], b: list[int]) -> list[int]:
+    quot = _divide(a, b)
+    if quot is None:
+        raise ArithmeticError("inexact polynomial division")
     return quot
 
 
-def _normalize_pair(num: LaurentPoly, den: LaurentPoly, skip_gcd: bool = False) -> tuple[LaurentPoly, LaurentPoly]:
-    """Canonical (num, den): coprime over Q, den with lowest exponent 0 and
-    positive leading coefficient, coprime integer contents."""
+def _eval(a: list[int], xi: int) -> int:
+    v = 0
+    for c in reversed(a):
+        v = v * xi + c
+    return v
+
+
+def _digits(v: int, xi: int) -> list[int]:
+    """Symmetric base-xi digits of v, low to high, each in (-xi/2, xi/2]."""
+    half = xi // 2
+    out = []
+    while v:
+        d = v % xi
+        if d > half:
+            d -= xi
+        out.append(d)
+        v = (v - d) // xi
+    return out
+
+
+def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
+    """gcd of two primitive polynomials by the primitive pseudo-remainder
+    sequence (Brown 1971); primitive, positive leading coefficient."""
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        rem = list(a)
+        nb = len(b) - 1
+        lead = b[-1]
+        while len(rem) > nb:
+            c = rem.pop()
+            shift = len(rem) - nb
+            rem = [x * lead for x in rem]
+            for j in range(nb):
+                rem[shift + j] -= c * b[j]
+            while rem and not rem[-1]:
+                rem.pop()
+        if not rem:
+            return b if b[-1] > 0 else [-c for c in b]
+        cont = gcd(*rem)
+        a, b = b, [c // cont for c in rem]
+    return [1]
+
+
+def _poly_gcd(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(g, a / g, b / g) for primitive a, b with nonzero constant terms, where
+    g is their gcd: primitive with a positive leading coefficient.
+
+    Heuristic GCD (Char, Geddes & Gonnet 1989).  The roots of g are roots of
+    both a and b, so by Cauchy's bound their moduli are below
+    R = 1 + min(|a|_inf, |b|_inf), and every xi tried exceeds 2R.  At such xi
+    a candidate read from the symmetric digits of gcd(a(xi), b(xi)) whose
+    primitive part h divides both a and b is g itself: g = h*k with k
+    nonconstant would need |k(xi)| <= xi/2, yet |k(xi)| >= xi - R > xi/2.
+    A candidate that fails the trial division sends xi up; after
+    _HEU_GCD_TRIES values the primitive PRS decides."""
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 4
+    for _ in range(_HEU_GCD_TRIES):
+        h = _digits(gcd(_eval(a, xi), _eval(b, xi)), xi)
+        if len(h) == 1:
+            return [1], a, b
+        cont = gcd(*h)
+        if h[-1] < 0:
+            cont = -cont
+        h = [c // cont for c in h]
+        if h[0]:
+            qa = _divide(a, h)
+            if qa is not None:
+                qb = _divide(b, h)
+                if qb is not None:
+                    return h, qa, qb
+        xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
+    g = _prs_gcd(a, b)
+    return g, _divexact(a, g), _divexact(b, g)
+
+
+def _normalize_pair(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """Canonical (num, den) of the fraction num / den (see the module doc)."""
     if den.is_zero:
         raise ZeroDivisionError("zero denominator")
     if num.is_zero:
         return _L_ZERO, _L_ONE
-    nval, ncs_i = _dense(num)
-    dval, dcs_i = _dense(den)
-    ncs = [Fraction(c) for c in ncs_i]
-    dcs = [Fraction(c) for c in dcs_i]
-    if not skip_gcd and len(ncs) > 1 and len(dcs) > 1:
-        g = _poly_gcd(ncs, dcs)
-        if len(g) > 1:
-            ncs = _poly_divexact(ncs, g)
-            dcs = _poly_divexact(dcs, g)
-    mult = lcm(*(c.denominator for c in ncs + dcs)) if (ncs + dcs) else 1
-    n_int = [int(c * mult) for c in ncs]
-    d_int = [int(c * mult) for c in dcs]
-    cont = 0
-    for c in n_int + d_int:
-        cont = gcd(cont, c)
-    if cont > 1:
-        n_int = [c // cont for c in n_int]
-        d_int = [c // cont for c in d_int]
-    if d_int[-1] < 0:
-        n_int = [-c for c in n_int]
-        d_int = [-c for c in d_int]
+    nval, n = _dense(num)
+    dval, d = _dense(den)
+    cn, cd = gcd(*n), gcd(*d)
+    n = [c // cn for c in n]
+    d = [c // cd for c in d]
+    if len(n) > 1 and len(d) > 1:
+        _, n, d = _poly_gcd(n, d)
+    g = gcd(cn, cd)
+    cn //= g
+    cd //= g
+    if d[-1] < 0:
+        cn, cd = -cn, -cd
     off = nval - dval
-    new_num = LaurentPoly({off + i: c for i, c in enumerate(n_int) if c})
-    new_den = LaurentPoly({i: c for i, c in enumerate(d_int) if c})
-    return new_num, new_den
+    return (LaurentPoly({off + i: cn * c for i, c in enumerate(n)}),
+            LaurentPoly({i: cd * c for i, c in enumerate(d)}))
 
 
 class RatFunc:
@@ -391,6 +465,9 @@ class RatFunc:
             return NotImplemented
         if self.den.is_one and o.den.is_one:
             return RatFunc._raw(self.num + o.num, _L_ONE)
+        if self.den == o.den:
+            # a/b + c/b: a common factor must divide b, so gcd(a + c, b) suffices
+            return RatFunc(self.num + o.num, self.den)
         num = self.num * o.den + o.num * self.den
         return RatFunc(num, self.den * o.den)
 
@@ -415,11 +492,27 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.den.is_one and o.den.is_one:
-            return RatFunc._raw(self.num * o.num, _L_ONE)
+        if o.den.is_one:
+            if self.den.is_one:
+                return RatFunc._raw(self.num * o.num, _L_ONE)
+            if len(o.num._terms) == 1:
+                return self._times_monomial(o.num)
+        elif self.den.is_one and len(self.num._terms) == 1:
+            return o._times_monomial(self.num)
         return RatFunc(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
+
+    def _times_monomial(self, m: LaurentPoly) -> RatFunc:
+        """self * m for a single-term m = c*q^k.  q^k is a unit and num, den
+        are coprime with joint content 1, so only gcd(c, content(den)) can
+        cancel."""
+        ((k, c),) = m._terms.items()
+        g = gcd(c, *self.den._terms.values())
+        if g == 1:
+            return RatFunc._raw(self.num * m, self.den)
+        return RatFunc._raw(self.num * _laurent({k: c // g}),
+                            _laurent({e: d // g for e, d in self.den._terms.items()}))
 
     def __truediv__(self, other: RatFunc | LaurentPoly | int) -> RatFunc:
         o = self._coerce(other)
@@ -482,8 +575,6 @@ def specialize(a: RatFunc | LaurentPoly, q0: Fraction | int | str) -> Fraction:
     q0 = Fraction(q0)
     if q0 in (0, 1, -1):
         raise ValueError(f"q0 = {q0} is excluded (zero or a root of unity)")
-    if isinstance(a, LaurentPoly):
-        return a.evaluate(q0)
     return a.evaluate(q0)
 
 
@@ -523,6 +614,12 @@ def parse_ratfunc(s: str) -> RatFunc:
         numtxt, dentxt = s[1:-1].split(")/(", 1)
         return RatFunc(parse_laurent(numtxt), parse_laurent(dentxt))
     return RatFunc.from_laurent(parse_laurent(s))
+
+
+@lru_cache(maxsize=128)
+def _generic_q_power(e: int) -> RatFunc:
+    # The relation suites multiply by q^k tens of thousands of times per run.
+    return RatFunc.from_laurent(LaurentPoly.q_power(e))
 
 
 @dataclass(frozen=True)
@@ -565,7 +662,7 @@ class ScalarField:
 
     def q_power(self, e: int):
         if self.q0 is None:
-            return RatFunc.from_laurent(LaurentPoly.q_power(e))
+            return _generic_q_power(e)
         return self.q0**e
 
     def qint(self, m: int):

@@ -1,9 +1,14 @@
+import random
 from fractions import Fraction
+from functools import reduce
+from math import gcd
+from operator import mul
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from qtensor import coeff
 from qtensor.coeff import (
     LaurentPoly,
     RatFunc,
@@ -33,6 +38,11 @@ def laurent_polys(draw, min_terms=0):
 
 
 nonzero_laurent = laurent_polys(min_terms=1).filter(lambda p: not p.is_zero)
+
+# products of balanced q-integers: the shape of the denominators the
+# construction produces
+qint_products = st.lists(st.integers(min_value=1, max_value=8), max_size=4).map(
+    lambda ms: reduce(mul, map(qint, ms), LaurentPoly.one()))
 
 
 def test_qint_examples():
@@ -203,6 +213,7 @@ def test_scalar_field_dispatch():
     gen = ScalarField.generic()
     spec = ScalarField.at(Fraction(3, 2))
     assert gen.qint(2) == RatFunc.from_laurent(qint(2))
+    assert gen.q_power(-2) == RatFunc.from_laurent(LaurentPoly.q_power(-2))
     assert spec.qint(2) == Fraction(3, 2) + Fraction(2, 3)
     assert spec.q_power(-2) == Fraction(4, 9)
     assert gen.parse(gen.render(gen.qint(3) / gen.qint(2))) == gen.qint(3) / gen.qint(2)
@@ -210,3 +221,117 @@ def test_scalar_field_dispatch():
     for bad in (0, 1, -1):
         with pytest.raises(ValueError):
             ScalarField.at(bad)
+
+
+def test_exponent_bound_raises_overflow():
+    for e in (10**6, -(10**6)):
+        with pytest.raises(OverflowError):
+            LaurentPoly({e: 1})
+    top = LaurentPoly.q_power(10**6 - 1)
+    with pytest.raises(OverflowError):
+        top * LaurentPoly.q_power(1)  # single-term product
+    with pytest.raises(OverflowError):
+        (top + 1) * LaurentPoly({1: 1, 0: 1})  # general product
+
+
+def test_inexact_division_raises_arithmetic_error():
+    assert coeff._divexact([1, 2, 1], [1, 1]) == [1, 1]
+    with pytest.raises(ArithmeticError):
+        coeff._divexact([1, 2], [1, 1])  # (1 + 2q) / (1 + q)
+    with pytest.raises(ArithmeticError):
+        coeff._divexact([1, 0, 1], [1, 1])  # (1 + q^2) / (1 + q)
+
+
+# -- integer gcd against the sympy oracle ------------------------------------
+
+
+def _primitive_dense(p: LaurentPoly) -> list[int]:
+    cs = coeff._dense(p)[1]
+    g = gcd(*cs)
+    return [c // g for c in cs]
+
+
+def _polymul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _sympy_gcd(a: list[int], b: list[int]) -> list[int]:
+    """sympy's gcd, made primitive with a positive leading coefficient."""
+    g = sympy.Poly(a[::-1], Q).gcd(sympy.Poly(b[::-1], Q)).primitive()[1]
+    if g.LC() < 0:
+        g = -g
+    return [int(c) for c in g.all_coeffs()[::-1]]
+
+
+def _assert_gcd(a: list[int], b: list[int]) -> None:
+    g, qa, qb = coeff._poly_gcd(a, b)
+    assert g == _sympy_gcd(a, b)
+    assert _polymul(g, qa) == a and _polymul(g, qb) == b
+
+
+def test_poly_gcd_rejects_candidate_dividing_one_operand():
+    # At the first xi = 6, gcd(7, 14) = 7 reads back as 1 + q, which divides
+    # 1 + q but not 8 + q; trial division must reject it.
+    _assert_gcd([1, 1], [8, 1])
+
+
+@given(a=nonzero_laurent, b=nonzero_laurent, c=nonzero_laurent, u=qint_products, v=qint_products)
+@settings(max_examples=150, deadline=None)
+def test_poly_gcd_matches_sympy(a, b, c, u, v):
+    x = _primitive_dense(a * c * u)
+    y = _primitive_dense(b * c * v)
+    _assert_gcd(x, y)
+    assert coeff._prs_gcd(x, y) == _sympy_gcd(x, y)
+
+
+@pytest.mark.parametrize("tries", [coeff._HEU_GCD_TRIES, 0], ids=["heuristic", "prs-fallback"])
+def test_poly_gcd_huge_coefficients(monkeypatch, tries):
+    # The heuristic succeeds on every such input tried, so zero tries is what
+    # routes these operands through the primitive-PRS fallback.
+    monkeypatch.setattr(coeff, "_HEU_GCD_TRIES", tries)
+    rng = random.Random(20)
+
+    def poly(deg, bound):
+        return LaurentPoly({e: rng.choice((-1, 1)) * rng.randint(bound, 10 * bound) for e in range(deg + 1)})
+
+    for _ in range(10):
+        common = poly(rng.randint(1, 4), 10**20)
+        x = _primitive_dense(poly(rng.randint(0, 5), 10**21) * common * qint(rng.randint(1, 6)))
+        y = _primitive_dense(poly(rng.randint(0, 5), 10**20) * common)
+        assert max(map(abs, x + y)) >= 10**20
+        _assert_gcd(x, y)
+        frac = RatFunc(LaurentPoly(dict(enumerate(x))), LaurentPoly(dict(enumerate(y))))
+        assert frac.den.max_exp() == len(y) - len(_sympy_gcd(x, y))
+
+
+# -- gcd-free shortcuts give the constructor's canonical form ----------------
+
+
+def _same_pair(got: RatFunc, expected: RatFunc) -> bool:
+    return got.num.terms() == expected.num.terms() and got.den.terms() == expected.den.terms()
+
+
+@given(a=laurent_polys(), b=nonzero_laurent, k=st.integers(-6, 6), c=st.integers(-12, 12).filter(bool))
+@example(a=LaurentPoly.one(), b=LaurentPoly({1: 2, 0: 4}), k=1, c=6)  # content 2 cancels
+@settings(max_examples=150, deadline=None)
+def test_monomial_product_shortcut_is_canonical(a, b, k, c):
+    x = RatFunc(a, b)
+    m = LaurentPoly({k: c})
+    expected = RatFunc(x.num * m, x.den)
+    for got in (x * m, m * x, x * RatFunc.from_laurent(m), RatFunc.from_laurent(m) * x):
+        assert _same_pair(got, expected)
+
+
+@given(a=laurent_polys(), b=nonzero_laurent, p=laurent_polys())
+@settings(max_examples=150, deadline=None)
+def test_shared_denominator_sum_is_canonical(a, b, p):
+    x = RatFunc(a, b)
+    # x + p keeps x's canonical denominator, and so does -x
+    for y in (x, -x, x + p):
+        assert y.den == x.den
+        expected = RatFunc(x.num * y.den + y.num * x.den, x.den * y.den)
+        assert _same_pair(x + y, expected)
