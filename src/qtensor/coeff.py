@@ -369,9 +369,7 @@ def _poly_gcd(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[in
         h = _digits(gcd(_eval(a, xi), _eval(b, xi)), xi)
         if len(h) == 1:
             return [1], a, b
-        cont = gcd(*h)
-        if h[-1] < 0:
-            cont = -cont
+        cont = gcd(*h)  # the leading digit of a positive number is positive
         h = [c // cont for c in h]
         if h[0]:
             qa = _divide(a, h)
