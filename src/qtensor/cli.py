@@ -9,18 +9,13 @@ Flag grammar::
 
     qtensor <command> --n <int> --r <int> [--shape a,b,c] [--q0 num[/den]]
             [--output text|json] [--out <path>]
-
-The environment variable QTENSOR_THREADS caps parallelism for the
-verification command (0 = auto).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -74,7 +69,12 @@ def _build_parser() -> _Parser:
 
 def _parse_config(argv: list[str]) -> CliConfig:
     ns = _build_parser().parse_args(argv)
-    shape = Partition.from_string(ns.shape) if ns.shape else None
+    shape = None
+    if ns.shape:
+        try:
+            shape = Partition.from_string(ns.shape)
+        except ValueError as exc:
+            raise _UsageError(f"bad --shape value {ns.shape!r}: {exc}") from None
     q0 = None
     if ns.q0 is not None:
         try:
@@ -93,16 +93,20 @@ def _parse_config(argv: list[str]) -> CliConfig:
     )
 
 
+def _write(text: str, path: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise RuntimeError(f"cannot write {path}: {exc}") from exc
+
+
 def export_json(payload, path: str | None) -> str:
     """Serialize deterministically; write to the path when given.  The byte
     stream is identical across runs for identical inputs."""
     text = json.dumps(payload, separators=(",", ":")) + "\n"
     if path is not None:
-        try:
-            with open(path, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise RuntimeError(f"cannot write {path}: {exc}") from exc
+        _write(text, path)
     return text
 
 
@@ -114,26 +118,9 @@ def _emit(cfg: CliConfig, text_lines: list[str], json_payload) -> None:
     else:
         body = "\n".join(text_lines) + "\n"
         if cfg.out_path is not None:
-            with open(cfg.out_path, "w", encoding="utf-8", newline="") as handle:
-                handle.write(body)
+            _write(body, cfg.out_path)
         else:
             sys.stdout.write(body)
-
-
-def _thread_map():
-    raw = os.environ.get("QTENSOR_THREADS", "1")
-    try:
-        k = int(raw)
-    except ValueError:
-        raise _UsageError(f"QTENSOR_THREADS must be an integer, got {raw!r}") from None
-    if k < 0:
-        raise _UsageError("QTENSOR_THREADS must be >= 0")
-    if k == 0:
-        k = os.cpu_count() or 1
-    if k == 1:
-        return map, None
-    pool = ThreadPoolExecutor(max_workers=k)
-    return pool.map, pool
 
 
 def _cmd_walks(cfg: CliConfig) -> int:
@@ -181,12 +168,7 @@ def _cmd_psi(cfg: CliConfig) -> int:
 
 
 def _cmd_verify(cfg: CliConfig) -> int:
-    map_fn, pool = _thread_map()
-    try:
-        report = dualcheck.verify_suite(cfg.n, cfg.r, cfg.field, map_fn=map_fn)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    report = dualcheck.verify_suite(cfg.n, cfg.r, cfg.field)
     lines = [
         f"[{'PASS' if c.ok else 'FAIL'}] {c.name}" + (f" ({c.detail})" if c.detail else "")
         for c in report.checks

@@ -620,6 +620,13 @@ def _generic_q_power(e: int) -> RatFunc:
     return RatFunc.from_laurent(LaurentPoly.q_power(e))
 
 
+@lru_cache(maxsize=128)
+def _specialized_q_power(num: int, den: int, e: int) -> Fraction:
+    # q0 = num/den enters the key by its integer parts: hashing a Fraction
+    # costs more than the power itself.
+    return Fraction(num, den) ** e
+
+
 @dataclass(frozen=True)
 class ScalarField:
     """Coefficient field for the whole pipeline.
@@ -661,7 +668,7 @@ class ScalarField:
     def q_power(self, e: int):
         if self.q0 is None:
             return _generic_q_power(e)
-        return self.q0**e
+        return _specialized_q_power(self.q0.numerator, self.q0.denominator, e)
 
     def qint(self, m: int):
         if self.q0 is None:

@@ -5,6 +5,14 @@ invariant-vector basis, and the multiplicity decomposition report.
 Reports are value objects so the command line and the tests share one code
 path; every check is exact (a nonzero residual anywhere is a failure, never
 a tolerance question).
+
+The relation suites check each identity on every index basis vector.  Within
+one suite call, each generator's image of each basis vector is computed once
+by the tensor action itself (looked up in this module when the suite runs, so
+a replaced action is the one checked) and kept in a table.  A word's image on
+a basis vector is the image of its suffix pushed through one more table by a
+sparse linear combination, memoised per basis vector so that words sharing a
+suffix share its image.  The tables are dropped when the suite returns.
 """
 
 from __future__ import annotations
@@ -32,7 +40,6 @@ from .tensorspace import (
     apply_T,
     apply_tK,
     bilinear,
-    weight_of,
 )
 
 __all__ = [
@@ -316,7 +323,10 @@ def root_vector_check(lam: Partition, n: int, field: ScalarField) -> RootVectorR
             weights.append(tuple(wt))
             # sanity: every support word uses the letters j..m-1 exactly once
             for word in el.terms:
-                assert sorted(word) == list(range(j, m)), (m, j, word)
+                if sorted(word) != list(range(j, m)):
+                    raise RuntimeError(
+                        f"root vector (m={m}, j={j}) has support word {word}, "
+                        f"not a permutation of {j}..{m - 1}")
     count_ok = len(entries) == n * (n - 1) // 2
     weights_distinct = len(set(weights)) == len(weights)
     independent = _rank([el.terms for _, _, el in entries]) == len(entries)
@@ -354,129 +364,187 @@ def _all_indices(n: int, r: int):
     return itertools.product(range(1, n + 1), repeat=r)
 
 
+def _apply_K_inverse(i: int, v: TensorVector) -> TensorVector:
+    return apply_K(i, v, inverse=True)
+
+
+class _Words:
+    """Images of generator words on the index basis vectors, for one suite
+    call.
+
+    A generator is a pair (action, i) such as (apply_E, 2).  Its image on a
+    basis vector is computed once, by the action itself, and kept in a table.
+    Equal table coefficients share one object (there are few distinct ones,
+    mostly powers of q), and a coefficient equal to one is ``self.one``, so
+    composing skips those products.  ``words(g1, ..., gk)`` is g1(...gk(v))
+    for the current basis vector v: the image of the suffix, pushed through
+    the head's table.  Word images are memoised until ``start`` moves on to
+    the next basis vector, so words that share a suffix share its image.
+    """
+
+    def __init__(self, field: ScalarField, n: int):
+        self.field = field
+        self.n = n
+        self.one = field.one()
+        self.values = {self.one: self.one}
+        self.tables: dict[tuple, dict] = {}
+        self.memo: dict[tuple, dict] = {}
+        self.idx: tuple[int, ...] = ()
+
+    def start(self, idx: tuple[int, ...]) -> dict:
+        """Move on to the basis vector of ``idx``; returns its coefficients."""
+        self.idx = idx
+        self.memo = {}
+        return {idx: self.one}
+
+    def lincomb(self, pairs) -> dict:
+        """Sparse sum of scalar * coeffs over (scalar, coeffs) pairs, with
+        entries that cancel dropped."""
+        one = self.one
+        out: dict = {}
+        for s, coeffs in pairs:
+            for idx, c in coeffs.items():
+                if c is one:
+                    c = s
+                elif s is not one:
+                    c = c * s
+                cur = out.get(idx)
+                if cur is not None:
+                    c = cur + c
+                if c:
+                    out[idx] = c
+                else:
+                    out.pop(idx, None)
+        return out
+
+    def _basis_image(self, gen: tuple, idx: tuple[int, ...]) -> dict:
+        table = self.tables.get(gen)
+        if table is None:
+            table = self.tables[gen] = {}
+        image = table.get(idx)
+        if image is None:
+            action, i = gen
+            values = self.values
+            image = table[idx] = {
+                k: values.setdefault(c, c)
+                for k, c in action(i, TensorVector.basis(self.field, self.n, idx)).coeffs.items()}
+        return image
+
+    def __call__(self, *word: tuple) -> dict:
+        image = self.memo.get(word)
+        if image is None:
+            head, tail = word[0], word[1:]
+            if tail:
+                image = self.lincomb((c, self._basis_image(head, idx)) for idx, c in self(*tail).items())
+            else:
+                image = self._basis_image(head, self.idx)
+            self.memo[word] = image
+        return image
+
+
 def check_quantum_relations(n: int, r: int, field: ScalarField) -> list[CheckResult]:
     """Defining relations of the quantized algebra as operator identities on
     every index basis vector of the degree-r tensor power."""
-    results = []
+    words = _Words(field, n)
+    E = {i: (apply_E, i) for i in range(1, n)}
+    F = {i: (apply_F, i) for i in range(1, n)}
+    K = {i: (apply_K, i) for i in range(1, n + 1)}
+    K_inv = {i: (_apply_K_inverse, i) for i in range(1, n + 1)}
     serre_coeff = field.q_power(1) + field.q_power(-1)
+    one = words.one
+    q_shift = {-1: field.q_power(-1), 0: one, 1: field.q_power(1)}
 
-    def vec(idx):
-        return TensorVector.basis(field, n, idx)
+    def serre(X, i, j):
+        return (words.lincomb([(one, words(X[i], X[i], X[j])), (one, words(X[j], X[i], X[i]))])
+                == words.lincomb([(serre_coeff, words(X[i], X[j], X[i]))]))
 
-    ok_u1 = True
+    ok_u1 = ok_u2 = ok_u3 = True
+    ok_serre_e = ok_serre_f = ok_far_e = ok_far_f = True
     for idx in _all_indices(n, r):
-        v = vec(idx)
+        v = words.start(idx)
         for i in range(1, n + 1):
-            if apply_K(i, apply_K(i, v, inverse=True)) != v:
+            if words(K[i], K_inv[i]) != v:
                 ok_u1 = False
             for j in range(1, n + 1):
-                if apply_K(i, apply_K(j, v)) != apply_K(j, apply_K(i, v)):
+                if words(K[i], K[j]) != words(K[j], K[i]):
                     ok_u1 = False
-    results.append(CheckResult("U1 grouplike commute/invert", ok_u1))
-
-    ok_u2 = True
-    for idx in _all_indices(n, r):
-        v = vec(idx)
-        content = weight_of(v)
         for i in range(1, n):
             for j in range(1, n):
-                lhs = apply_E(i, apply_F(j, v)) - apply_F(j, apply_E(i, v))
+                rhs = words(F[j], E[i])
                 if i == j:
-                    rhs = v.scale(field.qint(content[i - 1] - content[i]))
-                else:
-                    rhs = TensorVector.zero(field, n, r)
-                if lhs != rhs:
+                    rhs = words.lincomb([(one, rhs), (field.qint(idx.count(i) - idx.count(i + 1)), v)])
+                if words(E[i], F[j]) != rhs:
                     ok_u2 = False
-    results.append(CheckResult("U2 raise/lower commutator", ok_u2))
-
-    ok_u3 = True
-    for idx in _all_indices(n, r):
-        v = vec(idx)
         for i in range(1, n + 1):
             for j in range(1, n):
                 h = (1 if i == j else 0) - (1 if i == j + 1 else 0)
-                if apply_K(i, apply_E(j, v)) != apply_E(j, apply_K(i, v)).scale(field.q_power(h)):
+                if words(K[i], E[j]) != words.lincomb([(q_shift[h], words(E[j], K[i]))]):
                     ok_u3 = False
-                if apply_K(i, apply_F(j, v)) != apply_F(j, apply_K(i, v)).scale(field.q_power(-h)):
+                if words(K[i], F[j]) != words.lincomb([(q_shift[-h], words(F[j], K[i]))]):
                     ok_u3 = False
-    results.append(CheckResult("U3 grouplike conjugation", ok_u3))
-
-    ok_serre_e = True
-    ok_serre_f = True
-    ok_far_e = True
-    ok_far_f = True
-    for idx in _all_indices(n, r):
-        v = vec(idx)
         for i in range(1, n):
             for j in range(1, n):
                 if abs(i - j) == 1:
-                    lhs = (
-                        apply_E(i, apply_E(i, apply_E(j, v)))
-                        - apply_E(i, apply_E(j, apply_E(i, v))).scale(serre_coeff)
-                        + apply_E(j, apply_E(i, apply_E(i, v))))
-                    if not lhs.is_zero:
+                    if not serre(E, i, j):
                         ok_serre_e = False
-                    lhs = (
-                        apply_F(i, apply_F(i, apply_F(j, v)))
-                        - apply_F(i, apply_F(j, apply_F(i, v))).scale(serre_coeff)
-                        + apply_F(j, apply_F(i, apply_F(i, v))))
-                    if not lhs.is_zero:
+                    if not serre(F, i, j):
                         ok_serre_f = False
                 elif abs(i - j) > 1:
-                    if apply_E(i, apply_E(j, v)) != apply_E(j, apply_E(i, v)):
+                    if words(E[i], E[j]) != words(E[j], E[i]):
                         ok_far_e = False
-                    if apply_F(i, apply_F(j, v)) != apply_F(j, apply_F(i, v)):
+                    if words(F[i], F[j]) != words(F[j], F[i]):
                         ok_far_f = False
-    results.append(CheckResult("U4 raising Serre", ok_serre_e))
-    results.append(CheckResult("U5 raising far commutation", ok_far_e))
-    results.append(CheckResult("U6 lowering Serre", ok_serre_f))
-    results.append(CheckResult("U7 lowering far commutation", ok_far_f))
-    return results
+    return [
+        CheckResult("U1 grouplike commute/invert", ok_u1),
+        CheckResult("U2 raise/lower commutator", ok_u2),
+        CheckResult("U3 grouplike conjugation", ok_u3),
+        CheckResult("U4 raising Serre", ok_serre_e),
+        CheckResult("U5 raising far commutation", ok_far_e),
+        CheckResult("U6 lowering Serre", ok_serre_f),
+        CheckResult("U7 lowering far commutation", ok_far_f),
+    ]
 
 
 def check_hecke_relations(n: int, r: int, field: ScalarField) -> list[CheckResult]:
     """Quadratic, braid, and far-commutation relations for the transposition
     generators on every index basis vector."""
-    results = []
+    words = _Words(field, n)
+    T = {i: (apply_T, i) for i in range(1, r)}
     qdiff = field.q_power(1) - field.q_power(-1)
 
-    ok_quad = True
-    ok_braid = True
-    ok_far = True
+    ok_quad = ok_braid = ok_far = True
     for idx in _all_indices(n, r):
-        v = TensorVector.basis(field, n, idx)
+        v = words.start(idx)
         for i in range(1, r):
-            ti = apply_T(i, v)
-            if apply_T(i, ti) - ti.scale(qdiff) - v:
+            if words(T[i], T[i]) != words.lincomb([(qdiff, words(T[i])), (words.one, v)]):
                 ok_quad = False
         for i in range(1, r - 1):
-            lhs = apply_T(i, apply_T(i + 1, apply_T(i, v)))
-            rhs = apply_T(i + 1, apply_T(i, apply_T(i + 1, v)))
-            if lhs != rhs:
+            if words(T[i], T[i + 1], T[i]) != words(T[i + 1], T[i], T[i + 1]):
                 ok_braid = False
         for i in range(1, r):
             for j in range(i + 2, r):
-                if apply_T(i, apply_T(j, v)) != apply_T(j, apply_T(i, v)):
+                if words(T[i], T[j]) != words(T[j], T[i]):
                     ok_far = False
-    results.append(CheckResult("quadratic relation", ok_quad))
-    results.append(CheckResult("braid relation", ok_braid))
-    results.append(CheckResult("far commutation of transpositions", ok_far))
-    return results
+    return [
+        CheckResult("quadratic relation", ok_quad),
+        CheckResult("braid relation", ok_braid),
+        CheckResult("far commutation of transpositions", ok_far),
+    ]
 
 
 def check_commuting_actions(n: int, r: int, field: ScalarField) -> CheckResult:
     """Generator-by-generator commutation of the two actions on every index
     basis vector."""
+    words = _Words(field, n)
+    T = {i: (apply_T, i) for i in range(1, r)}
+    gens = [(action, j) for action in (apply_E, apply_F, apply_tK) for j in range(1, n)]
     ok = True
-    gens = [("E", apply_E), ("F", apply_F), ("tK", apply_tK)]
     for idx in _all_indices(n, r):
-        v = TensorVector.basis(field, n, idx)
+        words.start(idx)
         for i in range(1, r):
-            tv = apply_T(i, v)
-            for _, fn in gens:
-                for j in range(1, n):
-                    if fn(j, tv) != apply_T(i, fn(j, v)):
-                        ok = False
+            for gen in gens:
+                if words(gen, T[i]) != words(T[i], gen):
+                    ok = False
     return CheckResult("commuting actions", ok)
 
 
@@ -499,27 +567,22 @@ class VerifyReport:
         }
 
 
-def verify_suite(n: int, r: int, field: ScalarField, map_fn=map) -> VerifyReport:
+def verify_suite(n: int, r: int, field: ScalarField) -> VerifyReport:
     """The full battery at one size: highest-weight property, orthogonality,
-    norm formula, counting, relation suites, and commuting actions.
-
-    ``map_fn`` lets the caller fan the per-walk work out to a pool.
-    """
+    norm formula, counting, relation suites, and commuting actions."""
     report = VerifyReport(n=n, r=r)
     records = maximal_basis(n, r, field)
 
-    flags = list(map_fn(lambda rec: rec.vector.r == 0 or is_maximal(rec.vector), records))
     report.checks.append(CheckResult(
-        "maximality", all(flags), f"{len(records)} walk vectors"))
+        "maximality", all([rec.vector.r == 0 or is_maximal(rec.vector) for rec in records]),
+        f"{len(records)} walk vectors"))
 
     gram = gram_check(records)
     report.checks.append(CheckResult(
         "orthogonality", gram.ok, f"{len(records)}x{len(records)} Gram matrix"))
 
-    norm_flags = list(map_fn(
-        lambda rec: norm_predict(rec.walk, field) == bilinear(rec.vector, rec.vector),
-        records))
-    report.checks.append(CheckResult("norm formula", all(norm_flags)))
+    report.checks.append(CheckResult("norm formula", all([
+        norm_predict(rec.walk, field) == bilinear(rec.vector, rec.vector) for rec in records])))
 
     expected = sum(count_standard(lam) for lam in partitions_in(n, r))
     dim_ok = (

@@ -103,6 +103,21 @@ def test_usage_errors(capsys):
     assert run(["psi", "--n", "3"], capsys)[0] == 2  # psi needs --shape
 
 
+def test_bad_shape_is_usage_error(capsys):
+    for shape in ("2,x", "1,2"):
+        status, _, err = run(["vectors", "--n", "3", "--r", "3", "--shape", shape], capsys)
+        assert status == 2 and "--shape" in err
+
+
+def test_unwritable_out_path(tmp_path, capsys):
+    missing = str(tmp_path / "missing" / "x")
+    for output in ("text", "json"):
+        status, out, err = run(
+            ["walks", "--n", "2", "--r", "2", "--output", output, "--out", missing], capsys)
+        assert status == 1 and out == ""
+        assert "cannot write" in err and "Traceback" not in err
+
+
 def test_q0_pipeline(capsys):
     status, out, _ = run(["verify", "--n", "2", "--r", "3", "--q0", "3/2"], capsys)
     assert status == 0 and "all checks passed" in out

@@ -1,11 +1,17 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qtensor import dualcheck
 from qtensor.coeff import ScalarField
 from qtensor.combinatorics import Partition, Walk, a_const, c_const, d_const, enumerate_walks, partitions_in
 from qtensor.dualcheck import (
     SpechtConsistencyError,
+    check_commuting_actions,
+    check_hecke_relations,
+    check_quantum_relations,
     decomposition_report,
     gram_check,
     invariants_basis,
@@ -17,7 +23,7 @@ from qtensor.dualcheck import (
     youngs_rule_check,
 )
 from qtensor.psiphi import apply_neg, build_c_pi, psi
-from qtensor.tensorspace import TensorVector, apply_F, bilinear
+from qtensor.tensorspace import TensorVector, apply_E, apply_F, apply_K, apply_T, apply_tK, bilinear
 
 GEN = ScalarField.generic()
 P = Partition
@@ -223,3 +229,98 @@ def test_verify_suite_passes():
 def test_verify_suite_specialized():
     rep = verify_suite(2, 3, ScalarField.at(Fraction(-5)))
     assert rep.ok
+
+
+# -- relation suites can fail ---------------------------------------------------
+
+FIELDS = [GEN, ScalarField.at(Fraction(3, 2))]
+
+
+def _skewed(real):
+    """The action, with a stray factor q on the image of every basis vector
+    whose first letter is 1; still linear, so it is the same map however the
+    suite splits its inputs."""
+
+    def action(i, v):
+        out = TensorVector.zero(v.field, v.n, v.r)
+        for idx, c in v.coeffs.items():
+            image = real(i, TensorVector.basis(v.field, v.n, idx)).scale(c)
+            if idx[0] == 1:
+                image = image.scale(v.field.q_power(1))
+            out = out + image
+        return out
+
+    return action
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
+def test_quantum_relations_detect_skewed_lowering(field, monkeypatch):
+    assert all(c.ok for c in check_quantum_relations(3, 3, field))
+    monkeypatch.setattr(dualcheck, "apply_F", _skewed(dualcheck.apply_F))
+    verdicts = {c.name: c.ok for c in check_quantum_relations(3, 3, field)}
+    assert verdicts["U2 raise/lower commutator"] is False
+    assert verdicts["U6 lowering Serre"] is False
+    assert verdicts["U4 raising Serre"] is True
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
+def test_hecke_and_commuting_detect_skewed_transposition(field, monkeypatch):
+    assert all(c.ok for c in check_hecke_relations(3, 3, field))
+    assert check_commuting_actions(3, 3, field).ok
+    monkeypatch.setattr(dualcheck, "apply_T", _skewed(dualcheck.apply_T))
+    verdicts = {c.name: c.ok for c in check_hecke_relations(3, 3, field)}
+    assert verdicts["quadratic relation"] is False
+    assert verdicts["braid relation"] is False
+    assert check_commuting_actions(3, 3, field).ok is False
+
+
+@st.composite
+def vectors_and_words(draw):
+    """A random multi-term vector at a small size, and a random word of
+    generator actions (applied right to left)."""
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(min_value=2, max_value=3))
+    r = draw(st.integers(min_value=2, max_value=3))
+    indices = list(itertools.product(range(1, n + 1), repeat=r))
+    chosen = draw(st.lists(st.sampled_from(indices), min_size=1, max_size=5, unique=True))
+    coeffs = {
+        idx: field.from_int(draw(st.integers(min_value=-3, max_value=3))) * field.q_power(
+            draw(st.integers(min_value=-2, max_value=2)))
+        for idx in chosen
+    }
+    gens = st.one_of(
+        st.tuples(st.sampled_from([apply_E, apply_F, apply_tK, dualcheck._apply_K_inverse]),
+                  st.integers(min_value=1, max_value=n - 1)),
+        st.tuples(st.just(apply_K), st.integers(min_value=1, max_value=n)),
+        st.tuples(st.just(apply_T), st.integers(min_value=1, max_value=r - 1)),
+    )
+    word = tuple(draw(st.lists(gens, min_size=1, max_size=4)))
+    return TensorVector(field, n, r, coeffs), word
+
+
+@given(case=vectors_and_words())
+@settings(max_examples=60, deadline=None)
+def test_tabulated_words_match_direct_actions(case):
+    v, word = case
+    direct = v
+    for action, i in reversed(word):
+        direct = action(i, direct)
+    words = dualcheck._Words(v.field, v.n)
+    images = []
+    for idx, c in v.coeffs.items():
+        words.start(idx)
+        images.append((c, words(*word)))
+    assert words.lincomb(images) == direct.coeffs
+
+
+def test_root_vector_word_check_raises(monkeypatch):
+    real = dualcheck.xi_map
+
+    def doubled_letter(m, weight, field):
+        entries = real(m, weight, field)
+        j, el = entries[0]
+        return [(j, type(el)(field, {(j, j): field.one()}))] + entries[1:]
+
+    monkeypatch.setattr(dualcheck, "xi_map", doubled_letter)
+    with pytest.raises(RuntimeError, match=r"m=2, j=1.*\(1, 1\)"):
+        root_vector_check(P((2, 1, 0)), 3, GEN)
