@@ -223,6 +223,14 @@ def test_scalar_field_dispatch():
             ScalarField.at(bad)
 
 
+def test_specialized_q_power_memo_keeps_fields_apart():
+    # the memo is shared by every field; q0 and its sign and inverse must not collide
+    for _ in range(2):
+        assert [ScalarField.at(q).q_power(3) for q in ("3/2", "-3/2", "2/3")] == [
+            Fraction(27, 8), Fraction(-27, 8), Fraction(8, 27)]
+        assert ScalarField.at("3/2").q_power(0) == 1
+
+
 def test_exponent_bound_raises_overflow():
     for e in (10**6, -(10**6)):
         with pytest.raises(OverflowError):
