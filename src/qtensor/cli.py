@@ -78,11 +78,9 @@ def _parse_config(argv: list[str]) -> CliConfig:
     q0 = None
     if ns.q0 is not None:
         try:
-            q0 = Fraction(ns.q0)
+            q0 = ScalarField.at(ns.q0).q0
         except (ValueError, ZeroDivisionError) as exc:
             raise _UsageError(f"bad --q0 value {ns.q0!r}: {exc}") from None
-        if q0 in (0, 1, -1):
-            raise _UsageError(f"--q0 {q0} is excluded (zero or a root of unity)")
     if ns.n is None or ns.n < 1:
         raise _UsageError("--n must be a positive integer")
     if ns.r < 0:

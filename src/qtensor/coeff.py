@@ -99,10 +99,6 @@ class LaurentPoly:
         terms = self._terms
         return len(terms) == 1 and terms.get(0) == 1
 
-    @property
-    def is_constant(self) -> bool:
-        return all(e == 0 for e in self._terms)
-
     def min_exp(self) -> int:
         if not self._terms:
             raise ValueError("zero polynomial has no exponents")
@@ -570,10 +566,14 @@ class RatFunc:
 
 def specialize(a: RatFunc | LaurentPoly, q0: Fraction | int | str) -> Fraction:
     """Evaluate at a rational q0 (rejects 0 and the roots of unity +-1)."""
+    return a.evaluate(_admissible_q0(q0))
+
+
+def _admissible_q0(q0: Fraction | int | str) -> Fraction:
     q0 = Fraction(q0)
     if q0 in (0, 1, -1):
         raise ValueError(f"q0 = {q0} is excluded (zero or a root of unity)")
-    return a.evaluate(q0)
+    return q0
 
 
 # -- text parsing ------------------------------------------------------------
@@ -639,10 +639,7 @@ class ScalarField:
 
     def __post_init__(self):
         if self.q0 is not None:
-            q0 = Fraction(self.q0)
-            if q0 in (0, 1, -1):
-                raise ValueError(f"q0 = {q0} is excluded (zero or a root of unity)")
-            object.__setattr__(self, "q0", q0)
+            object.__setattr__(self, "q0", _admissible_q0(self.q0))
 
     @classmethod
     def generic(cls) -> ScalarField:
@@ -651,10 +648,6 @@ class ScalarField:
     @classmethod
     def at(cls, q0: Fraction | int | str) -> ScalarField:
         return cls(Fraction(q0))
-
-    @property
-    def is_generic(self) -> bool:
-        return self.q0 is None
 
     def zero(self):
         return RatFunc.from_int(0) if self.q0 is None else Fraction(0)

@@ -156,13 +156,6 @@ class Walk:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def steps(self) -> list[Partition]:
-        """The partitions visited, from the empty one to the terminal one."""
-        out = [Partition()]
-        for k in self.rows:
-            out.append(out[-1].add_box(k))
-        return out
-
     def terminal(self) -> Partition:
         lam = Partition()
         for k in self.rows:

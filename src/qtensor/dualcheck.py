@@ -10,9 +10,12 @@ The relation suites check each identity on every index basis vector.  Within
 one suite call, each generator's image of each basis vector is computed once
 by the tensor action itself (looked up in this module when the suite runs, so
 a replaced action is the one checked) and kept in a table.  A word's image on
-a basis vector is the image of its suffix pushed through one more table by a
-sparse linear combination, memoised per basis vector so that words sharing a
-suffix share its image.  The tables are dropped when the suite returns.
+a basis vector is the image of its suffix pushed through one more table by
+``tensorspace.lincomb``, the package's one sparse linear combination, and is
+memoised per basis vector so that words sharing a suffix share its image.
+The relations' right-hand sides, the Specht residuals and the rank
+elimination of the root-vector check are sums through the same function.
+The tables are dropped when the suite returns.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .tensorspace import (
     apply_T,
     apply_tK,
     bilinear,
+    lincomb,
 )
 
 __all__ = [
@@ -141,16 +145,16 @@ def specht_matrices(lam: Partition, n: int, r: int, field: ScalarField) -> Spech
         raise ValueError(f"{lam} is not a shape of degree {r} with at most {n} rows")
     records = [build_c_pi(w, field, n) for w in walks]
     norms = [bilinear(rec.vector, rec.vector) for rec in records]
+    one = field.one()
     t_matrices = []
     for i in range(1, r):
         rows = []
         for rec in records:
             image = apply_T(i, rec.vector)
             coords = [bilinear(image, other.vector) / norms[k] for k, other in enumerate(records)]
-            residual = image
-            for k, other in enumerate(records):
-                residual = residual - other.vector.scale(coords[k])
-            if not residual.is_zero:
+            residual = lincomb([(one, image.coeffs)]
+                               + [(-c, other.vector.coeffs) for c, other in zip(coords, records)], one)
+            if residual:
                 raise SpechtConsistencyError(
                     f"T_{i} image of walk {rec.walk} leaves the span at shape {lam}")
             rows.append(coords)
@@ -264,13 +268,12 @@ def decomposition_report(n: int, r: int, field: ScalarField) -> DecompositionRep
 # -- root vectors ---------------------------------------------------------------
 
 
-def _rank(vectors: list[dict]) -> int:
-    """Rank of sparse vectors over an exact field, by elimination with the
-    smallest key as pivot."""
+def _rank(vectors: list[dict], one) -> int:
+    """Rank of sparse vectors over an exact field whose one is ``one``, by
+    elimination with the smallest key as pivot."""
     pivots: dict = {}
     rank = 0
-    for vec in vectors:
-        row = dict(vec)
+    for row in vectors:
         while row:
             key = min(row)
             if key not in pivots:
@@ -278,12 +281,7 @@ def _rank(vectors: list[dict]) -> int:
                 rank += 1
                 break
             prow = pivots[key]
-            factor = row[key] / prow[key]
-            for k2, c2 in prow.items():
-                cur = row.pop(k2, None)
-                val = -(factor * c2) if cur is None else cur - factor * c2
-                if val:
-                    row[k2] = val
+            row = lincomb(((one, row), (-(row[key] / prow[key]), prow)), one)
     return rank
 
 
@@ -329,7 +327,8 @@ def root_vector_check(lam: Partition, n: int, field: ScalarField) -> RootVectorR
                         f"not a permutation of {j}..{m - 1}")
     count_ok = len(entries) == n * (n - 1) // 2
     weights_distinct = len(set(weights)) == len(weights)
-    independent = _rank([el.terms for _, _, el in entries]) == len(entries)
+    one = field.one()
+    independent = _rank([el.terms for _, _, el in entries], one) == len(entries)
 
     r = lam.size
     base = build_c_pi(enumerate_walks(n, r, lam)[0], field, n).vector
@@ -341,7 +340,7 @@ def root_vector_check(lam: Partition, n: int, field: ScalarField) -> RootVectorR
             vanished.append((m, j))
         else:
             images.append(image.coeffs)
-    applied_independent = _rank(images) == len(images)
+    applied_independent = _rank(images, one) == len(images)
     return RootVectorReport(
         shape=lam, n=n, entries=entries, weights=weights,
         count_ok=count_ok, weights_distinct=weights_distinct,
@@ -397,26 +396,6 @@ class _Words:
         self.memo = {}
         return {idx: self.one}
 
-    def lincomb(self, pairs) -> dict:
-        """Sparse sum of scalar * coeffs over (scalar, coeffs) pairs, with
-        entries that cancel dropped."""
-        one = self.one
-        out: dict = {}
-        for s, coeffs in pairs:
-            for idx, c in coeffs.items():
-                if c is one:
-                    c = s
-                elif s is not one:
-                    c = c * s
-                cur = out.get(idx)
-                if cur is not None:
-                    c = cur + c
-                if c:
-                    out[idx] = c
-                else:
-                    out.pop(idx, None)
-        return out
-
     def _basis_image(self, gen: tuple, idx: tuple[int, ...]) -> dict:
         table = self.tables.get(gen)
         if table is None:
@@ -435,7 +414,8 @@ class _Words:
         if image is None:
             head, tail = word[0], word[1:]
             if tail:
-                image = self.lincomb((c, self._basis_image(head, idx)) for idx, c in self(*tail).items())
+                image = lincomb(((c, self._basis_image(head, idx)) for idx, c in self(*tail).items()),
+                                self.one)
             else:
                 image = self._basis_image(head, self.idx)
             self.memo[word] = image
@@ -455,8 +435,8 @@ def check_quantum_relations(n: int, r: int, field: ScalarField) -> list[CheckRes
     q_shift = {-1: field.q_power(-1), 0: one, 1: field.q_power(1)}
 
     def serre(X, i, j):
-        return (words.lincomb([(one, words(X[i], X[i], X[j])), (one, words(X[j], X[i], X[i]))])
-                == words.lincomb([(serre_coeff, words(X[i], X[j], X[i]))]))
+        return (lincomb([(one, words(X[i], X[i], X[j])), (one, words(X[j], X[i], X[i]))], one)
+                == lincomb([(serre_coeff, words(X[i], X[j], X[i]))], one))
 
     ok_u1 = ok_u2 = ok_u3 = True
     ok_serre_e = ok_serre_f = ok_far_e = ok_far_f = True
@@ -472,15 +452,15 @@ def check_quantum_relations(n: int, r: int, field: ScalarField) -> list[CheckRes
             for j in range(1, n):
                 rhs = words(F[j], E[i])
                 if i == j:
-                    rhs = words.lincomb([(one, rhs), (field.qint(idx.count(i) - idx.count(i + 1)), v)])
+                    rhs = lincomb([(one, rhs), (field.qint(idx.count(i) - idx.count(i + 1)), v)], one)
                 if words(E[i], F[j]) != rhs:
                     ok_u2 = False
         for i in range(1, n + 1):
             for j in range(1, n):
                 h = (1 if i == j else 0) - (1 if i == j + 1 else 0)
-                if words(K[i], E[j]) != words.lincomb([(q_shift[h], words(E[j], K[i]))]):
+                if words(K[i], E[j]) != lincomb([(q_shift[h], words(E[j], K[i]))], one):
                     ok_u3 = False
-                if words(K[i], F[j]) != words.lincomb([(q_shift[-h], words(F[j], K[i]))]):
+                if words(K[i], F[j]) != lincomb([(q_shift[-h], words(F[j], K[i]))], one):
                     ok_u3 = False
         for i in range(1, n):
             for j in range(1, n):
@@ -516,7 +496,7 @@ def check_hecke_relations(n: int, r: int, field: ScalarField) -> list[CheckResul
     for idx in _all_indices(n, r):
         v = words.start(idx)
         for i in range(1, r):
-            if words(T[i], T[i]) != words.lincomb([(qdiff, words(T[i])), (words.one, v)]):
+            if words(T[i], T[i]) != lincomb([(qdiff, words(T[i])), (words.one, v)], words.one):
                 ok_quad = False
         for i in range(1, r - 1):
             if words(T[i], T[i + 1], T[i]) != words(T[i + 1], T[i], T[i + 1]):

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from .coeff import ScalarField
-from .combinatorics import Partition, Walk, a_const, c_const, d_const
-from .tensorspace import TensorVector, apply_E, apply_F, prepend, weight_of
+from .combinatorics import Partition, Walk, _entry, a_const, c_const, d_const
+from .tensorspace import TensorVector, apply_E, apply_F, lincomb, prepend, weight_of
 
 __all__ = [
     "NegElement",
@@ -77,19 +77,9 @@ class NegElement:
 
     def __init__(self, field: ScalarField, terms: dict[NegWord, object] | None = None):
         self.field = field
-        clean: dict[NegWord, object] = {}
-        if terms:
-            for word, c in terms.items():
-                if not c:
-                    continue
-                cw = canonical_word(tuple(word))
-                cur = clean.get(cw)
-                cur = c if cur is None else cur + c
-                if cur:
-                    clean[cw] = cur
-                else:
-                    clean.pop(cw, None)
-        self.terms = clean
+        one = field.one()
+        pairs = ((c, {canonical_word(tuple(w)): one}) for w, c in (terms or {}).items())
+        self.terms = lincomb(pairs, one)
 
     @classmethod
     def one(cls, field: ScalarField) -> NegElement:
@@ -111,15 +101,8 @@ class NegElement:
     def __add__(self, other: NegElement) -> NegElement:
         if not isinstance(other, NegElement):
             return NotImplemented
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            cur = out.get(w)
-            cur = c if cur is None else cur + c
-            if cur:
-                out[w] = cur
-            else:
-                out.pop(w, None)
-        return self._fresh(out)
+        one = self.field.one()
+        return self._fresh(lincomb(((one, self.terms), (one, other.terms)), one))
 
     def __sub__(self, other: NegElement) -> NegElement:
         return self + other.scale(self.field.from_int(-1))
@@ -130,21 +113,15 @@ class NegElement:
         return self._fresh({w: v * c for w, v in self.terms.items()})
 
     def __mul__(self, other: NegElement) -> NegElement:
-        """Concatenation product, re-canonicalized."""
+        """Concatenation product, re-canonicalized.  Left multiplication by
+        a word is injective on canonical words, since the far-commutation
+        monoid is cancellative, so each image below has distinct keys."""
         if not isinstance(other, NegElement):
             return NotImplemented
-        out: dict[NegWord, object] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = canonical_word(w1 + w2)
-                c = c1 * c2
-                cur = out.get(w)
-                cur = c if cur is None else cur + c
-                if cur:
-                    out[w] = cur
-                else:
-                    out.pop(w, None)
-        return self._fresh(out)
+        return self._fresh(lincomb(
+            ((c1, {canonical_word(w1 + w2): c2 for w2, c2 in other.terms.items()})
+             for w1, c1 in self.terms.items()),
+            self.field.one()))
 
     def _fresh(self, terms: dict[NegWord, object]) -> NegElement:
         e = NegElement.__new__(NegElement)
@@ -182,11 +159,7 @@ class NegElement:
 def _weight_window(weight, j: int, shift: int) -> tuple[int, ...]:
     # Entries below index shift+1 never enter the shifted constants; zeroing
     # them makes the memo key insensitive to them.
-    def entry(i: int) -> int:
-        seq = weight.parts if isinstance(weight, Partition) else tuple(weight)
-        return seq[i - 1] if i <= len(seq) else 0
-
-    return (0,) * shift + tuple(entry(i) for i in range(shift + 1, j + shift + 2))
+    return (0,) * shift + tuple(_entry(weight, i) for i in range(shift + 1, j + shift + 2))
 
 
 def psi(j: int, weight, field: ScalarField, shift: int = 0) -> NegElement:
@@ -229,11 +202,9 @@ def apply_neg(e: NegElement, v: TensorVector) -> TensorVector:
     rightmost letter first."""
     if e.max_letter() > v.n - 1:
         raise ValueError(f"element uses generator {e.max_letter()}, ambient has {v.n - 1}")
-    out = TensorVector.zero(v.field, v.n, v.r)
-    for word, c in e.terms.items():
-        acted = reduce(lambda vec, i: apply_F(i, vec), reversed(word), v)
-        out = out + acted.scale(c)
-    return out
+    pairs = [(c, reduce(lambda vec, i: apply_F(i, vec), reversed(word), v).coeffs)
+             for word, c in e.terms.items()]
+    return v._fresh(lincomb(pairs, v.field.one()))
 
 
 # -- box-adding operators --------------------------------------------------------
@@ -262,13 +233,13 @@ def phi(m: int, weight, b: TensorVector, shift: int = 0, validate: bool = False)
             if tuple(wt[: len(want)]) != want or any(x != 0 for x in wt[len(want):]):
                 raise ValueError(f"weight mismatch: vector has {wt}, caller said {want}")
     minus_qinv = field.from_int(0) - field.q_power(-1)
-    acc = TensorVector.zero(field, b.n, b.r + 1)
-    coeff = field.one()
+    one = coeff = field.one()
+    pairs = []
     for j in range(m):
         term = apply_neg(psi(j, weight, field, m - j - 1 + shift), b)
-        acc = acc + prepend(m - j + shift, term).scale(coeff)
+        pairs.append((coeff, prepend(m - j + shift, term).coeffs))
         coeff = coeff * minus_qinv
-    return acc
+    return TensorVector.zero(field, b.n, b.r + 1)._fresh(lincomb(pairs, one))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,10 @@
 generator actions obtained from the iterated coproduct, the transposition
 generator action, weight extraction, and the standard bilinear form.
 
+Sparse accumulation lives in one place, ``lincomb``: vector sums, the E, F
+and T actions, the lowering elements of ``psiphi`` and the relation suites of
+``dualcheck`` all sum scaled coefficient dicts through it.
+
 Basis vectors are indexed by tuples a in {1..n}^r; the single-factor rules
 are F_i: v_i -> v_{i+1}, E_i: v_{i+1} -> v_i (all else to zero), with the
 grouplike generators acting diagonally by integer powers of q.  Vectors are
@@ -19,14 +23,12 @@ __all__ = [
     "TensorVector",
     "MixedWeightError",
     "ShapeMismatchError",
-    "apply_generator",
     "apply_E",
     "apply_F",
     "apply_K",
     "apply_tK",
     "weight_of",
     "apply_T",
-    "apply_T_factored",
     "bilinear",
     "prepend",
     "vector_to_json_dict",
@@ -44,6 +46,33 @@ class MixedWeightError(ValueError):
 
 class ShapeMismatchError(ValueError):
     """Operands live in different tensor spaces."""
+
+
+def lincomb(pairs, one) -> dict:
+    """Sparse sum of s * coeffs over (s, coeffs) pairs, with entries that
+    cancel dropped.
+
+    ``one`` is the field's one, compared by identity: a coefficient that is
+    ``one`` contributes s itself, and a pair whose scalar is ``one`` adds its
+    coefficients unscaled.  A pair whose scalar is zero contributes nothing.
+    """
+    out: dict = {}
+    for s, coeffs in pairs:
+        if not s:
+            continue
+        for idx, c in coeffs.items():
+            if c is one:
+                c = s
+            elif s is not one:
+                c = c * s
+            cur = out.get(idx)
+            if cur is not None:
+                c = cur + c
+            if c:
+                out[idx] = c
+            else:
+                out.pop(idx, None)
+    return out
 
 
 class TensorVector:
@@ -105,15 +134,8 @@ class TensorVector:
         if not isinstance(other, TensorVector):
             return NotImplemented
         self._check_shape(other)
-        out = dict(self.coeffs)
-        for idx, c in other.coeffs.items():
-            s = out.get(idx)
-            s = c if s is None else s + c
-            if s:
-                out[idx] = s
-            else:
-                out.pop(idx, None)
-        return self._fresh(out)
+        one = self.field.one()
+        return self._fresh(lincomb(((one, self.coeffs), (one, other.coeffs)), one))
 
     def __sub__(self, other: TensorVector) -> TensorVector:
         return self + (-other)
@@ -162,24 +184,20 @@ def apply_E(i: int, v: TensorVector) -> TensorVector:
     left of the active slot contribute a power of q."""
     _check_ef_index(i, v.n)
     field = v.field
-    out: dict[Index, object] = {}
+    one = field.one()
+    pairs = []
     for idx, c in v.coeffs.items():
+        image = {}
         tk = 0  # exponent from grouplike factors left of the active slot
         for s, letter in enumerate(idx):
             if letter == i + 1:
-                new = idx[:s] + (i,) + idx[s + 1:]
-                add = c * field.q_power(tk) if tk else c
-                cur = out.get(new)
-                cur = add if cur is None else cur + add
-                if cur:
-                    out[new] = cur
-                else:
-                    out.pop(new, None)
+                image[idx[:s] + (i,) + idx[s + 1:]] = field.q_power(tk) if tk else one
             if letter == i:
                 tk += 1
             elif letter == i + 1:
                 tk -= 1
-    return v._fresh(out)
+        pairs.append((c, image))
+    return v._fresh(lincomb(pairs, one))
 
 
 def apply_F(i: int, v: TensorVector) -> TensorVector:
@@ -187,26 +205,21 @@ def apply_F(i: int, v: TensorVector) -> TensorVector:
     active slot contribute the power of q."""
     _check_ef_index(i, v.n)
     field = v.field
-    out: dict[Index, object] = {}
+    one = field.one()
+    pairs = []
     for idx, c in v.coeffs.items():
         # suffix[s] = (#i) - (#(i+1)) among positions > s
         suffix = [0] * (len(idx) + 1)
         for s in range(len(idx) - 1, -1, -1):
             delta = 1 if idx[s] == i else (-1 if idx[s] == i + 1 else 0)
             suffix[s] = suffix[s + 1] + delta
+        image = {}
         for s, letter in enumerate(idx):
-            if letter != i:
-                continue
-            new = idx[:s] + (i + 1,) + idx[s + 1:]
-            e = -suffix[s + 1]
-            add = c * field.q_power(e) if e else c
-            cur = out.get(new)
-            cur = add if cur is None else cur + add
-            if cur:
-                out[new] = cur
-            else:
-                out.pop(new, None)
-    return v._fresh(out)
+            if letter == i:
+                e = -suffix[s + 1]
+                image[idx[:s] + (i + 1,) + idx[s + 1:]] = field.q_power(e) if e else one
+        pairs.append((c, image))
+    return v._fresh(lincomb(pairs, one))
 
 
 def apply_K(j: int, v: TensorVector, inverse: bool = False) -> TensorVector:
@@ -232,25 +245,6 @@ def apply_tK(i: int, v: TensorVector, inverse: bool = False) -> TensorVector:
         e = sign * (sum(1 for a in idx if a == i) - sum(1 for a in idx if a == i + 1))
         out[idx] = c * field.q_power(e) if e else c
     return v._fresh(out)
-
-
-_GENERATORS = {
-    "E": lambda i, v: apply_E(i, v),
-    "F": lambda i, v: apply_F(i, v),
-    "K": lambda i, v: apply_K(i, v),
-    "Kinv": lambda i, v: apply_K(i, v, inverse=True),
-    "tK": lambda i, v: apply_tK(i, v),
-    "tKinv": lambda i, v: apply_tK(i, v, inverse=True),
-}
-
-
-def apply_generator(kind: str, i: int, v: TensorVector) -> TensorVector:
-    """Dispatch on the generator family: E, F, K, Kinv, tK, tKinv."""
-    try:
-        fn = _GENERATORS[kind]
-    except KeyError:
-        raise ValueError(f"unknown generator kind {kind!r}") from None
-    return fn(i, v)
 
 
 def weight_of(v: TensorVector) -> tuple[int, ...]:
@@ -280,58 +274,20 @@ def apply_T(i: int, v: TensorVector) -> TensorVector:
     if not 1 <= i <= v.r - 1:
         raise ValueError(f"T index {i} out of range 1..{v.r - 1}")
     field = v.field
+    one = field.one()
     q = field.q_power(1)
-    qdiff = field.q_power(1) - field.q_power(-1)
-    out: dict[Index, object] = {}
-
-    def acc(idx, c):
-        cur = out.get(idx)
-        cur = c if cur is None else cur + c
-        if cur:
-            out[idx] = cur
-        else:
-            out.pop(idx, None)
-
+    qdiff = q - field.q_power(-1)
+    pairs = []
     for idx, c in v.coeffs.items():
         a, b = idx[i - 1], idx[i]
         if a == b:
-            acc(idx, c * q)
+            image = {idx: q}
         else:
-            swapped = idx[: i - 1] + (b, a) + idx[i + 1:]
-            acc(swapped, c)
+            image = {idx[: i - 1] + (b, a) + idx[i + 1:]: one}
             if a < b:
-                acc(idx, c * qdiff)
-    return v._fresh(out)
-
-
-def apply_T_factored(i: int, v: TensorVector) -> TensorVector:
-    """Same action through the identity-padded two-site operator; kept as an
-    independent cross-check of apply_T."""
-    if not 1 <= i <= v.r - 1:
-        raise ValueError(f"T index {i} out of range 1..{v.r - 1}")
-    field = v.field
-    q = field.q_power(1)
-    qdiff = field.q_power(1) - field.q_power(-1)
-    out: dict[Index, object] = {}
-
-    def acc(idx, c):
-        cur = out.get(idx)
-        cur = c if cur is None else cur + c
-        if cur:
-            out[idx] = cur
-        else:
-            out.pop(idx, None)
-
-    for idx, c in v.coeffs.items():
-        head, (s, t), tail = idx[: i - 1], idx[i - 1: i + 1], idx[i + 1:]
-        if s == t:
-            acc(head + (s, t) + tail, c * q)
-        elif s < t:
-            acc(head + (s, t) + tail, c * qdiff)
-            acc(head + (t, s) + tail, c)
-        else:
-            acc(head + (t, s) + tail, c)
-    return v._fresh(out)
+                image[idx] = qdiff
+        pairs.append((c, image))
+    return v._fresh(lincomb(pairs, one))
 
 
 # -- bilinear form ---------------------------------------------------------------

@@ -23,7 +23,7 @@ from qtensor.dualcheck import (
     youngs_rule_check,
 )
 from qtensor.psiphi import apply_neg, build_c_pi, psi
-from qtensor.tensorspace import TensorVector, apply_E, apply_F, apply_K, apply_T, apply_tK, bilinear
+from qtensor.tensorspace import TensorVector, apply_E, apply_F, apply_K, apply_T, apply_tK, bilinear, lincomb
 
 GEN = ScalarField.generic()
 P = Partition
@@ -310,7 +310,7 @@ def test_tabulated_words_match_direct_actions(case):
     for idx, c in v.coeffs.items():
         words.start(idx)
         images.append((c, words(*word)))
-    assert words.lincomb(images) == direct.coeffs
+    assert lincomb(images, words.one) == direct.coeffs
 
 
 def test_root_vector_word_check_raises(monkeypatch):

@@ -1,0 +1,33 @@
+"""Smoke runs of the sweep scripts in `scripts/` at their smallest sizes.
+
+Each script runs as its own process against the same qtensor package the
+tests import, and must exit 0 with its success line.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qtensor
+
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE_ROOT = str(Path(qtensor.__file__).resolve().parent.parent)
+
+
+@pytest.mark.parametrize("script,args,expected", [
+    ("run_full_checks.py", ["--n-max", "2", "--r-max", "3"], "sweep complete: all checks passed"),
+    ("specialization_sweep.py", ["--n", "2", "--r", "3"],
+     "agreement between specialized pipeline and evaluated generic answers: True"),
+])
+def test_script_smoke(script, args, expected):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / script), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert expected in proc.stdout.splitlines()

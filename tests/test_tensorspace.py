@@ -18,17 +18,17 @@ from qtensor.tensorspace import (
     TensorVector,
     apply_E,
     apply_F,
-    apply_generator,
     apply_K,
     apply_T,
-    apply_T_factored,
     apply_tK,
     bilinear,
+    lincomb,
     prepend,
     weight_of,
 )
 
 GEN = ScalarField.generic()
+FIELDS = [GEN, ScalarField.at(Fraction(3, 2))]
 
 
 def basis(idx, n=2):
@@ -48,11 +48,9 @@ def test_coproduct_actions():
     assert got == expected
     assert apply_K(1, basis((1, 2))) == basis((1, 2)).scale(GEN.q_power(1))
     assert apply_E(1, basis((1, 2))) == basis((1, 1)).scale(GEN.q_power(1))
-    assert apply_generator("tKinv", 1, basis((1, 1))) == basis((1, 1)).scale(GEN.q_power(-2))
+    assert apply_tK(1, basis((1, 1)), inverse=True) == basis((1, 1)).scale(GEN.q_power(-2))
     with pytest.raises(ValueError):
         apply_E(2, basis((1,)))
-    with pytest.raises(ValueError):
-        apply_generator("bogus", 1, basis((1,)))
 
 
 def test_weight_of():
@@ -74,11 +72,87 @@ def test_hecke_three_cases():
         apply_T(2, basis((1, 1)))
 
 
+def apply_T_factored(i: int, v: TensorVector) -> TensorVector:
+    """The transposition action through the identity-padded two-site
+    operator: an independent oracle for apply_T."""
+    if not 1 <= i <= v.r - 1:
+        raise ValueError(f"T index {i} out of range 1..{v.r - 1}")
+    field = v.field
+    q = field.q_power(1)
+    qdiff = field.q_power(1) - field.q_power(-1)
+    out = {}
+
+    def acc(idx, c):
+        cur = out.get(idx)
+        cur = c if cur is None else cur + c
+        if cur:
+            out[idx] = cur
+        else:
+            out.pop(idx, None)
+
+    for idx, c in v.coeffs.items():
+        head, (s, t), tail = idx[: i - 1], idx[i - 1: i + 1], idx[i + 1:]
+        if s == t:
+            acc(head + (s, t) + tail, c * q)
+        elif s < t:
+            acc(head + (s, t) + tail, c * qdiff)
+            acc(head + (t, s) + tail, c)
+        else:
+            acc(head + (t, s) + tail, c)
+    return TensorVector(field, v.n, v.r, out)
+
+
 def test_hecke_factored_cross_check():
-    for idx in itertools.product((1, 2, 3), repeat=4):
-        v = TensorVector.basis(GEN, 3, idx)
-        for i in (1, 2, 3):
-            assert apply_T(i, v) == apply_T_factored(i, v)
+    for field in FIELDS:
+        for idx in itertools.product((1, 2, 3), repeat=4):
+            v = TensorVector.basis(field, 3, idx)
+            for i in (1, 2, 3):
+                assert apply_T(i, v) == apply_T_factored(i, v)
+
+
+@st.composite
+def multi_term_vectors(draw):
+    """Random vector over either field with several terms of any contents."""
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(min_value=2, max_value=3))
+    r = draw(st.integers(min_value=2, max_value=4))
+    indices = list(itertools.product(range(1, n + 1), repeat=r))
+    chosen = draw(st.lists(st.sampled_from(indices), min_size=1, max_size=8, unique=True))
+    coeffs = {
+        idx: field.from_int(draw(st.integers(min_value=-3, max_value=3))) * field.q_power(
+            draw(st.integers(min_value=-2, max_value=2)))
+        for idx in chosen
+    }
+    return TensorVector(field, n, r, coeffs)
+
+
+@given(v=multi_term_vectors(), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_hecke_factored_cross_check_multi_term(v, data):
+    i = data.draw(st.integers(min_value=1, max_value=v.r - 1))
+    assert apply_T(i, v) == apply_T_factored(i, v)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
+def test_lincomb(field):
+    one, q = field.one(), field.q_power(1)
+    two = field.from_int(2)
+    # entries that cancel are dropped, down to the empty dict
+    assert lincomb([(one, {(1,): q, (2,): one}), (-one, {(1,): q}), (q, {(2,): one})], one) == {
+        (2,): one + q}
+    assert lincomb([(one, {(1,): q}), (-one, {(1,): q})], one) == {}
+    # a zero scalar contributes nothing, not even a product
+    class NoProducts:
+        def __mul__(self, other):
+            raise AssertionError("multiplied")
+        __rmul__ = __mul__
+    assert lincomb([(field.zero(), {(1,): NoProducts()}), (two, {(2,): q})], one) == {(2,): two * q}
+    # a coefficient that is one passes the scalar through unmultiplied, and a
+    # scalar that is one passes the coefficient through
+    out = lincomb([(q, {(1,): one}), (one, {(2,): q})], one)
+    assert out == {(1,): q, (2,): q}
+    assert out[(1,)] is q and out[(2,)] is q
+    assert lincomb([], one) == {}
 
 
 def test_bilinear_examples():
