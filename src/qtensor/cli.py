@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands enumerate walks, print or export the highest-weight vectors and
+Commands enumerate walks, print or export the highest-weight vectors and
 the recursion elements, run the verification battery, and emit norm, matrix,
 and decomposition reports.  Exit status: 0 on success, 1 when a verification
 assertion fails, 2 on usage errors.
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import dualcheck, psiphi, tensorspace
@@ -28,15 +27,16 @@ __all__ = ["CliConfig", "run_cli", "export_json", "main"]
 COMMANDS = ("walks", "vectors", "psi", "verify", "norms", "specht", "decompose", "invariants")
 
 
-@dataclass
 class CliConfig:
-    command: str
-    n: int
-    r: int
-    shape: Partition | None = None
-    q0: Fraction | None = None
-    output: str = "text"
-    out_path: str | None = None
+    def __init__(self, command: str, n: int, r: int, shape: Partition | None = None,
+                 q0: Fraction | None = None, output: str = "text", out_path: str | None = None):
+        self.command = command
+        self.n = n
+        self.r = r
+        self.shape = shape
+        self.q0 = q0
+        self.output = output
+        self.out_path = out_path
 
     @property
     def field(self) -> ScalarField:
@@ -55,15 +55,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qtensor", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--n", type=int, required=True, help="alphabet size")
-        p.add_argument("--r", type=int, default=0, help="tensor degree")
-        p.add_argument("--shape", type=str, default=None, help="partition, e.g. 2,1")
-        p.add_argument("--q0", type=str, default=None, help="rational specialization, e.g. 3/2")
-        p.add_argument("--output", choices=("text", "json"), default="text")
-        p.add_argument("--out", dest="out_path", type=str, default=None)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--n", type=int, required=True, help="alphabet size")
+    parser.add_argument("--r", type=int, default=0, help="tensor degree")
+    parser.add_argument("--shape", type=str, default=None, help="partition, e.g. 2,1")
+    parser.add_argument("--q0", type=str, default=None, help="rational specialization, e.g. 3/2")
+    parser.add_argument("--output", choices=("text", "json"), default="text")
+    parser.add_argument("--out", dest="out_path", type=str, default=None)
     return parser
 
 

@@ -26,7 +26,6 @@ denominator b needs only gcd(a + c, b).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -627,19 +626,35 @@ def _specialized_q_power(num: int, den: int, e: int) -> Fraction:
     return Fraction(num, den) ** e
 
 
-@dataclass(frozen=True)
+def _read_only(self, name, value=None):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
 class ScalarField:
     """Coefficient field for the whole pipeline.
 
     q0 = None computes over the generic fraction field (RatFunc values);
     a rational q0 switches every computation to exact Fraction values.
+    The field's one is built once, so ``c is field.one()`` spots it.
     """
 
-    q0: Fraction | None = None
+    __slots__ = ("q0", "_one")
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
-        if self.q0 is not None:
-            object.__setattr__(self, "q0", _admissible_q0(self.q0))
+    def __init__(self, q0: Fraction | None = None):
+        if q0 is not None:
+            q0 = _admissible_q0(q0)
+        object.__setattr__(self, "q0", q0)
+        object.__setattr__(self, "_one", RatFunc.from_int(1) if q0 is None else Fraction(1))
+
+    def __eq__(self, other):
+        return self.q0 == other.q0 if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.q0,))
+
+    def __repr__(self) -> str:
+        return f"ScalarField(q0={self.q0!r})"
 
     @classmethod
     def generic(cls) -> ScalarField:
@@ -653,7 +668,7 @@ class ScalarField:
         return RatFunc.from_int(0) if self.q0 is None else Fraction(0)
 
     def one(self):
-        return RatFunc.from_int(1) if self.q0 is None else Fraction(1)
+        return self._one
 
     def from_int(self, c: int):
         return RatFunc.from_int(c) if self.q0 is None else Fraction(c)

@@ -9,10 +9,11 @@ row sequence).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import factorial
 from typing import Sequence
+
+from .coeff import _read_only
 
 __all__ = [
     "Partition",
@@ -35,20 +36,29 @@ __all__ = [
 Weight = Sequence[int]
 
 
-@dataclass(frozen=True)
 class Partition:
     """Weakly decreasing nonnegative parts; trailing zeros are stripped."""
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ("parts",)
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
-        ps = tuple(int(p) for p in self.parts)
+    def __init__(self, parts: tuple[int, ...] = ()):
+        ps = tuple(int(p) for p in parts)
         while ps and ps[-1] == 0:
             ps = ps[:-1]
         for i, p in enumerate(ps):
             if p < 0 or (i + 1 < len(ps) and ps[i + 1] > p):
-                raise ValueError(f"not a partition: {self.parts}")
+                raise ValueError(f"not a partition: {parts}")
         object.__setattr__(self, "parts", ps)
+
+    def __eq__(self, other):
+        return self.parts == other.parts if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
+
+    def __repr__(self) -> str:
+        return f"Partition(parts={self.parts!r})"
 
     @classmethod
     def from_string(cls, text: str) -> Partition:
@@ -140,18 +150,27 @@ def pairing_constants(w: Partition | Weight, j: int) -> tuple[int, int, int]:
     return a_const(w, j), c_const(w, j), d_const(w, j)
 
 
-@dataclass(frozen=True)
 class Walk:
     """Path in the growth diagram, recorded as the row added at each step."""
 
-    rows: tuple[int, ...]
+    __slots__ = ("rows",)
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
-        rows = tuple(int(k) for k in self.rows)
+    def __init__(self, rows: tuple[int, ...]):
+        rows = tuple(int(k) for k in rows)
         lam = Partition()
         for k in rows:
             lam = lam.add_box(k)  # raises if some step is not addable
         object.__setattr__(self, "rows", rows)
+
+    def __eq__(self, other):
+        return self.rows == other.rows if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rows,))
+
+    def __repr__(self) -> str:
+        return f"Walk(rows={self.rows!r})"
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -177,32 +196,30 @@ def enumerate_walks(n: int, r: int, target: Partition | None = None) -> list[Wal
     if target is not None and (target.size != r or target.nrows > n):
         return []
     out: list[Walk] = []
-    prefix: list[int] = []
-
-    def extend(lam: Partition):
+    # Depth-first with an explicit stack, since r may exceed the recursion
+    # limit; children are pushed largest row first, so walks come out in
+    # lexicographic order.
+    stack: list[tuple[tuple[int, ...], Partition]] = [((), Partition())]
+    while stack:
+        prefix, lam = stack.pop()
         if len(prefix) == r:
-            out.append(Walk(tuple(prefix)))
-            return
-        for j in lam.addable_rows(n):
+            out.append(Walk(prefix))
+            continue
+        for j in reversed(lam.addable_rows(n)):
             # containment prune: stay inside the target shape
-            if target is not None and lam.row(j) + 1 > target.row(j):
-                continue
-            prefix.append(j)
-            extend(lam.add_box(j))
-            prefix.pop()
-
-    extend(Partition())
+            if target is None or lam.row(j) < target.row(j):
+                stack.append((prefix + (j,), lam.add_box(j)))
     return out
 
 
-@dataclass(frozen=True)
 class StandardTableau:
     """Filling of a partition shape by 1..r, increasing along rows and columns."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        rows = tuple(tuple(int(x) for x in row) for row in rows)
         object.__setattr__(self, "rows", rows)
         shape = tuple(len(row) for row in rows)
         Partition(shape)  # validates the shape
@@ -216,6 +233,15 @@ class StandardTableau:
             for j in range(len(rows[i])):
                 if rows[i - 1][j] >= rows[i][j]:
                     raise ValueError("columns must strictly increase")
+
+    def __eq__(self, other):
+        return self.rows == other.rows if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rows,))
+
+    def __repr__(self) -> str:
+        return f"StandardTableau(rows={self.rows!r})"
 
     @property
     def shape(self) -> Partition:

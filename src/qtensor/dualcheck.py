@@ -21,7 +21,6 @@ The tables are dropped when the suite returns.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
 
 from .coeff import ScalarField
 from .combinatorics import (
@@ -76,12 +75,13 @@ def maximal_basis(n: int, r: int, field: ScalarField) -> list[MaximalVectorRecor
     return [build_c_pi(w, field, n) for w in enumerate_walks(n, r)]
 
 
-@dataclass
 class GramReport:
-    matrix: list[list[object]]
-    diagonal: list[object]
-    ok: bool
-    violations: list[tuple[Walk, Walk]]
+    def __init__(self, matrix: list[list[object]], diagonal: list[object], ok: bool,
+                 violations: list[tuple[Walk, Walk]]):
+        self.matrix = matrix
+        self.diagonal = diagonal
+        self.ok = ok
+        self.violations = violations
 
 
 def gram_check(records: list[MaximalVectorRecord]) -> GramReport:
@@ -125,12 +125,13 @@ class SpechtConsistencyError(RuntimeError):
     """A transposition image failed to lie in the span of the walk basis."""
 
 
-@dataclass
 class SpechtData:
-    shape: Partition
-    basis: list[MaximalVectorRecord]
-    gram_diagonal: list[object]
-    t_matrices: list[list[list[object]]]
+    def __init__(self, shape: Partition, basis: list[MaximalVectorRecord], gram_diagonal: list[object],
+                 t_matrices: list[list[list[object]]]):
+        self.shape = shape
+        self.basis = basis
+        self.gram_diagonal = gram_diagonal
+        self.t_matrices = t_matrices
 
 
 def specht_matrices(lam: Partition, n: int, r: int, field: ScalarField) -> SpechtData:
@@ -162,13 +163,14 @@ def specht_matrices(lam: Partition, n: int, r: int, field: ScalarField) -> Spech
     return SpechtData(shape=lam, basis=records, gram_diagonal=norms, t_matrices=t_matrices)
 
 
-@dataclass
 class YoungsRuleReport:
-    shape: Partition
-    n: int
-    lhs: int
-    contributions: list[tuple[int, Partition, int]]
-    ok: bool
+    def __init__(self, shape: Partition, n: int, lhs: int,
+                 contributions: list[tuple[int, Partition, int]], ok: bool):
+        self.shape = shape
+        self.n = n
+        self.lhs = lhs
+        self.contributions = contributions
+        self.ok = ok
 
 
 def youngs_rule_check(lam: Partition, n: int) -> YoungsRuleReport:
@@ -202,23 +204,24 @@ def invariants_basis(n: int, r: int, field: ScalarField) -> list[MaximalVectorRe
     return records
 
 
-@dataclass
 class ShapeRow:
-    shape: Partition
-    weyl_dim: int
-    f: int
-    walks: int
-    all_maximal: bool
-    gram_diagonal: bool
+    def __init__(self, shape: Partition, weyl_dim: int, f: int, walks: int, all_maximal: bool,
+                 gram_diagonal: bool):
+        self.shape = shape
+        self.weyl_dim = weyl_dim
+        self.f = f
+        self.walks = walks
+        self.all_maximal = all_maximal
+        self.gram_diagonal = gram_diagonal
 
 
-@dataclass
 class DecompositionReport:
-    n: int
-    r: int
-    rows: list[ShapeRow]
-    total: int
-    identity_ok: bool
+    def __init__(self, n: int, r: int, rows: list[ShapeRow], total: int, identity_ok: bool):
+        self.n = n
+        self.r = r
+        self.rows = rows
+        self.total = total
+        self.identity_ok = identity_ok
 
     def to_json_dict(self) -> dict:
         return {
@@ -285,17 +288,19 @@ def _rank(vectors: list[dict], one) -> int:
     return rank
 
 
-@dataclass
 class RootVectorReport:
-    shape: Partition
-    n: int
-    entries: list[tuple[int, int, object]]  # (m, j, element)
-    weights: list[tuple[int, ...]]
-    count_ok: bool
-    weights_distinct: bool
-    independent: bool
-    vanished: list[tuple[int, int]]
-    applied_independent: bool
+    def __init__(self, shape: Partition, n: int, entries: list[tuple[int, int, object]],
+                 weights: list[tuple[int, ...]], count_ok: bool, weights_distinct: bool,
+                 independent: bool, vanished: list[tuple[int, int]], applied_independent: bool):
+        self.shape = shape
+        self.n = n
+        self.entries = entries  # (m, j, element)
+        self.weights = weights
+        self.count_ok = count_ok
+        self.weights_distinct = weights_distinct
+        self.independent = independent
+        self.vanished = vanished
+        self.applied_independent = applied_independent
 
     @property
     def ok(self) -> bool:
@@ -352,11 +357,11 @@ def root_vector_check(lam: Partition, n: int, field: ScalarField) -> RootVectorR
 # -- relation suites --------------------------------------------------------------
 
 
-@dataclass
 class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        self.name = name
+        self.ok = ok
+        self.detail = detail
 
 
 def _all_indices(n: int, r: int):
@@ -528,11 +533,11 @@ def check_commuting_actions(n: int, r: int, field: ScalarField) -> CheckResult:
     return CheckResult("commuting actions", ok)
 
 
-@dataclass
 class VerifyReport:
-    n: int
-    r: int
-    checks: list[CheckResult] = dc_field(default_factory=list)
+    def __init__(self, n: int, r: int, checks: list[CheckResult] | None = None):
+        self.n = n
+        self.r = r
+        self.checks = [] if checks is None else checks
 
     @property
     def ok(self) -> bool:

@@ -14,10 +14,9 @@ equality of elements a structural comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 
-from .coeff import ScalarField
+from .coeff import ScalarField, _read_only
 from .combinatorics import Partition, Walk, _entry, a_const, c_const, d_const
 from .tensorspace import TensorVector, apply_E, apply_F, lincomb, prepend, weight_of
 
@@ -242,13 +241,27 @@ def phi(m: int, weight, b: TensorVector, shift: int = 0, validate: bool = False)
     return TensorVector.zero(field, b.n, b.r + 1)._fresh(lincomb(pairs, one))
 
 
-@dataclass(frozen=True)
 class MaximalVectorRecord:
     """A walk, the highest-weight vector it produces, and its shape."""
 
-    walk: Walk
-    vector: TensorVector
-    weight: Partition
+    __slots__ = ("walk", "vector", "weight")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, walk: Walk, vector: TensorVector, weight: Partition):
+        object.__setattr__(self, "walk", walk)
+        object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "weight", weight)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.walk, self.vector, self.weight) == (other.walk, other.vector, other.weight)
+
+    def __hash__(self) -> int:
+        return hash((self.walk, self.vector, self.weight))
+
+    def __repr__(self) -> str:
+        return f"MaximalVectorRecord(walk={self.walk!r}, vector={self.vector!r}, weight={self.weight!r})"
 
 
 def build_c_pi(pi: Walk, field: ScalarField, n: int | None = None) -> MaximalVectorRecord:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +11,7 @@ from qtensor.coeff import ScalarField
 from qtensor.tensorspace import TensorVector, vector_from_json_dict, vector_to_json
 
 GEN = ScalarField.generic()
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(argv, capsys):
@@ -19,6 +24,12 @@ def test_walks_text(capsys):
     status, out, _ = run(["walks", "--n", "2", "--r", "2"], capsys)
     assert status == 0
     assert out.splitlines() == ["[1,1]", "[1,2]"]
+
+
+def test_walks_deeper_than_recursion_limit(capsys):
+    status, out, _ = run(["walks", "--n", "1", "--r", "1500"], capsys)
+    assert status == 0
+    assert out.splitlines() == ["[" + ",".join(["1"] * 1500) + "]"]
 
 
 def test_walks_json(capsys):
@@ -171,3 +182,22 @@ def test_invariants_command(capsys):
     assert len(payload) == 1 and len(payload[0]["terms"]) == 2
     status, out, _ = run(["invariants", "--n", "2", "--r", "3"], capsys)
     assert status == 0 and "0 invariant" in out
+
+
+def _python(*args):
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+
+
+def test_import_does_not_load_dataclasses():
+    # every CLI job is a fresh process; dataclasses drags in inspect, ast, dis and tokenize
+    proc = _python("-S", "-c", f"import sys; sys.path.insert(0, {str(SRC)!r}); import qtensor.cli; "
+                   "print('dataclasses' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_help_names_every_command():
+    proc = _python("-m", "qtensor.cli", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert "{" + ",".join(cli.COMMANDS) + "}" in proc.stdout

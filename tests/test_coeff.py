@@ -223,6 +223,13 @@ def test_scalar_field_dispatch():
             ScalarField.at(bad)
 
 
+@pytest.mark.parametrize("field", [ScalarField.generic(), ScalarField.at("3/2")], ids=["generic", "q0"])
+def test_field_one_is_shared(field):
+    # lincomb recognises the identity by `is`, so every caller must get the same object
+    assert field.one() is field.one()
+    assert field.one() == field.from_int(1)
+
+
 def test_specialized_q_power_memo_keeps_fields_apart():
     # the memo is shared by every field; q0 and its sign and inverse must not collide
     for _ in range(2):

@@ -1,5 +1,7 @@
 import itertools
 from collections import Counter
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +23,8 @@ from qtensor.combinatorics import (
     walk_to_tableau,
     weyl_dim,
 )
-from qtensor.psiphi import canonical_word
+from qtensor.coeff import ScalarField
+from qtensor.psiphi import build_c_pi, canonical_word
 
 
 @st.composite
@@ -37,6 +40,42 @@ def test_partition_normalization():
         Partition((1, 2))
     with pytest.raises(ValueError):
         Partition((2, -1))
+
+
+def _record():
+    return build_c_pi(Walk((1, 2)), ScalarField.at("3/2"), 2)
+
+
+# name -> (factory, fields in declaration order or None to read them off the
+# value, expected repr with "{}" standing for the vector's repr)
+VALUE_TYPES = {
+    "Partition": (lambda: Partition((2, 1, 0)), {"parts": (2, 1)}, "Partition(parts=(2, 1))"),
+    "Walk": (lambda: Walk((1, 2)), {"rows": (1, 2)}, "Walk(rows=(1, 2))"),
+    "StandardTableau": (lambda: StandardTableau(((1, 2), (3,))), {"rows": ((1, 2), (3,))},
+                        "StandardTableau(rows=((1, 2), (3,)))"),
+    "ScalarField": (lambda: ScalarField.at("3/2"), {"q0": Fraction(3, 2)}, "ScalarField(q0=Fraction(3, 2))"),
+    "ScalarField-generic": (ScalarField.generic, {"q0": None}, "ScalarField(q0=None)"),
+    "MaximalVectorRecord": (_record, None, "MaximalVectorRecord(walk=Walk(rows=(1, 2)), vector={}, "
+                                           "weight=Partition(parts=(1, 1)))"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_TYPES))
+def test_value_type_semantics(name):
+    make, fields, text = VALUE_TYPES[name]
+    value = make()
+    if fields is None:
+        fields = {"walk": value.walk, "vector": value.vector, "weight": value.weight}
+        text = text.format(repr(value.vector))
+    assert value == make() and not value != make()
+    values = tuple(fields.values())
+    assert value != values and value != SimpleNamespace(**fields)
+    assert {field: getattr(value, field) for field in fields} == fields
+    assert hash(value) == hash(make()) == hash(values)
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+    assert repr(value) == text
 
 
 def test_addable_rows_examples():
