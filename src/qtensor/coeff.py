@@ -21,6 +21,13 @@ to a primitive pseudo-remainder sequence (Brown 1971).  Sums and products
 that cannot cancel a polynomial factor skip the gcd: a product with a
 monomial +-c*q^k only fixes the integer content, and a sum over a shared
 denominator b needs only gcd(a + c, b).
+
+Cleared pairing.  ``ScalarField.clear`` writes a coefficient dict over one
+common denominator D, the lcm of its denominators (by the same gcd), with
+numerators in the ring: ints at a rational q0, `LaurentPoly` on the generic
+field.  ``ScalarField.pair`` sums numerator products in the ring and divides
+once, by D_u * D_v, so a pairing of two vectors costs one normalization
+however many terms they share, and a pairing that vanishes costs none.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 __all__ = [
     "LaurentPoly",
@@ -400,6 +407,34 @@ def _normalize_pair(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, La
             LaurentPoly({i: cd * c for i, c in enumerate(d)}))
 
 
+def _clear_ratfuncs(coeffs: dict) -> tuple[LaurentPoly, dict]:
+    # For canonical denominators a, b the reduced form of a/b is (a/g, b/g)
+    # with g = gcd(a, b), contents included; so lcm(a, b) = a * (b/g), and
+    # D/den is the numerator of D/den reduced.
+    dens = {c.den for c in coeffs.values()}
+    if len(dens) == 1:
+        (D,) = dens
+        return D, {k: c.num for k, c in coeffs.items()}
+    D = _L_ONE
+    for den in dens:
+        D = D * _normalize_pair(D, den)[1]
+    cofactors = {den: _normalize_pair(D, den)[0] for den in dens}
+    return D, {k: c.num * cofactors[c.den] for k, c in coeffs.items()}
+
+
+def _pair_laurent(nu: dict, nv: dict) -> LaurentPoly:
+    acc: dict[int, int] = {}
+    get = acc.get
+    for k, a in nu.items():
+        b = nv.get(k)
+        if b is not None:
+            for e1, c1 in a._terms.items():
+                for e2, c2 in b._terms.items():
+                    e = e1 + e2
+                    acc[e] = get(e, 0) + c1 * c2
+    return LaurentPoly(acc)
+
+
 class RatFunc:
     """Element of the fraction field of the Laurent polynomial ring.
 
@@ -635,10 +670,11 @@ class ScalarField:
 
     q0 = None computes over the generic fraction field (RatFunc values);
     a rational q0 switches every computation to exact Fraction values.
-    The field's one is built once, so ``c is field.one()`` spots it.
+    The field's one and zero are built once, so ``c is field.one()`` spots
+    the one.
     """
 
-    __slots__ = ("q0", "_one")
+    __slots__ = ("q0", "_one", "_zero")
     __setattr__ = __delattr__ = _read_only
 
     def __init__(self, q0: Fraction | None = None):
@@ -646,6 +682,7 @@ class ScalarField:
             q0 = _admissible_q0(q0)
         object.__setattr__(self, "q0", q0)
         object.__setattr__(self, "_one", RatFunc.from_int(1) if q0 is None else Fraction(1))
+        object.__setattr__(self, "_zero", RatFunc.from_int(0) if q0 is None else Fraction(0))
 
     def __eq__(self, other):
         return self.q0 == other.q0 if other.__class__ is self.__class__ else NotImplemented
@@ -665,7 +702,7 @@ class ScalarField:
         return cls(Fraction(q0))
 
     def zero(self):
-        return RatFunc.from_int(0) if self.q0 is None else Fraction(0)
+        return self._zero
 
     def one(self):
         return self._one
@@ -687,6 +724,30 @@ class ScalarField:
         if self.q0 is None:
             return RatFunc.from_laurent(qfact(m))
         return qfact(m).evaluate(self.q0)
+
+    def clear(self, coeffs: dict) -> tuple:
+        """(D, numerators) with coeffs[k] == numerators[k] / D for every key:
+        D is the lcm of the denominators (a positive int at q0; on the generic
+        field a `LaurentPoly` with lowest exponent 0 and a positive leading
+        coefficient), and each numerator lies in the ring (int, `LaurentPoly`)."""
+        if self.q0 is None:
+            return _clear_ratfuncs(coeffs)
+        D = lcm(*[c.denominator for c in coeffs.values()])
+        return D, {k: c.numerator * (D // c.denominator) for k, c in coeffs.items()}
+
+    def pair(self, u: tuple, v: tuple):
+        """Sum over shared keys of the products of two cleared dicts (from
+        ``clear``): the numerator products are summed in the ring, then
+        divided once by D_u * D_v.  A vanishing sum returns the field's zero."""
+        (du, nu), (dv, nv) = u, v
+        if len(nv) < len(nu):
+            nu, nv = nv, nu
+        if self.q0 is None:
+            total = _pair_laurent(nu, nv)
+            return RatFunc(total, du * dv) if total else self._zero
+        get = nv.get
+        total = sum([a * b for k, a in nu.items() if (b := get(k)) is not None])
+        return Fraction(total, du * dv) if total else self._zero
 
     def render(self, c) -> str:
         return str(c)

@@ -6,16 +6,38 @@ Reports are value objects so the command line and the tests share one code
 path; every check is exact (a nonzero residual anywhere is a failure, never
 a tolerance question).
 
-The relation suites check each identity on every index basis vector.  Within
-one suite call, each generator's image of each basis vector is computed once
-by the tensor action itself (looked up in this module when the suite runs, so
-a replaced action is the one checked) and kept in a table.  A word's image on
-a basis vector is the image of its suffix pushed through one more table by
-``tensorspace.lincomb``, the package's one sparse linear combination, and is
-memoised per basis vector so that words sharing a suffix share its image.
-The relations' right-hand sides, the Specht residuals and the rank
-elimination of the root-vector check are sums through the same function.
-The tables are dropped when the suite returns.
+Pairings.  The Gram check and the Specht projections clear each vector once
+to one common denominator (``ScalarField.clear``) and pair the numerators in
+the ring (``ScalarField.pair``), so each entry is normalized once and a
+vanishing entry not at all.
+
+Relation suites.  The Hecke and commuting suites check each identity on all
+n^r index basis vectors; the U1-U7 suite checks only the weakly increasing
+tuples, one per letter content.  That suffices, and is exact, because:
+
+- the Hecke suite checks that T_i v_idx is supported on idx and s_i idx with
+  a nonzero coefficient on s_i idx, so every v_idx is a combination of
+  T-words applied to the sorted vector of its content: the sorted vectors
+  generate the tensor power as a module over the T_i (Dipper & James 1989;
+  Jimbo 1986);
+- the commuting suite checks that E_j, F_j, K_j and the coroot grouplikes
+  commute with every T_i, and that K_j^-1 inverts K_j, so every relation's
+  difference of two sides commutes with the T_i (the scalar part of U2 is a
+  function of letter content, which the support condition makes T_i keep);
+- an operator that commutes with the T_i and kills the generators kills
+  everything.
+
+So ``check_quantum_relations`` alone is complete only together with the
+other two suites, as ``verify_suite`` runs them.  Each generator's image of
+each basis vector is computed once by the tensor action itself (looked up in
+this module when the suite runs, so a replaced action is the one checked)
+and kept in a table shared by the three suites of one ``verify_suite`` call.
+A word's image on a basis vector is the image of its suffix pushed through
+one more table by ``tensorspace.lincomb``, the package's one sparse linear
+combination, and is memoised per basis vector so that words sharing a
+suffix share its image.  The relations' right-hand sides, the Specht
+residuals and the rank elimination of the root-vector check are sums
+through the same function.
 """
 
 from __future__ import annotations
@@ -41,7 +63,6 @@ from .tensorspace import (
     apply_K,
     apply_T,
     apply_tK,
-    bilinear,
     lincomb,
 )
 
@@ -85,13 +106,16 @@ class GramReport:
 
 
 def gram_check(records: list[MaximalVectorRecord]) -> GramReport:
-    """Full Gram matrix; diagonal must be nonzero, off-diagonal zero."""
+    """Full Gram matrix; diagonal must be nonzero, off-diagonal zero.  Each
+    vector is cleared once, and every entry pairs two cleared vectors."""
     k = len(records)
     matrix = [[None] * k for _ in range(k)]
     violations: list[tuple[Walk, Walk]] = []
+    cleared = [rec.vector.field.clear(rec.vector.coeffs) for rec in records]
     for i in range(k):
+        pair = records[i].vector.field.pair
         for j in range(i, k):
-            val = bilinear(records[i].vector, records[j].vector)
+            val = pair(cleared[i], cleared[j])
             matrix[i][j] = matrix[j][i] = val
             if i == j and not val:
                 violations.append((records[i].walk, records[j].walk))
@@ -140,19 +164,25 @@ def specht_matrices(lam: Partition, n: int, r: int, field: ScalarField) -> Spech
 
     Coordinates come from orthogonal projection (pairing divided by the
     diagonal norm); the residual after projection is asserted to vanish.
+    Each walk vector and each image is cleared once for its pairings.
     """
     walks = enumerate_walks(n, r, lam)
     if not walks:
         raise ValueError(f"{lam} is not a shape of degree {r} with at most {n} rows")
     records = [build_c_pi(w, field, n) for w in walks]
-    norms = [bilinear(rec.vector, rec.vector) for rec in records]
+    cleared = [field.clear(rec.vector.coeffs) for rec in records]
+    norms = [field.pair(c, c) for c in cleared]
     one = field.one()
     t_matrices = []
     for i in range(1, r):
         rows = []
         for rec in records:
             image = apply_T(i, rec.vector)
-            coords = [bilinear(image, other.vector) / norms[k] for k, other in enumerate(records)]
+            cimage = field.clear(image.coeffs)
+            coords = []
+            for other, norm in zip(cleared, norms):
+                c = field.pair(cimage, other)
+                coords.append(c / norm if c else c)
             residual = lincomb([(one, image.coeffs)]
                                + [(-c, other.vector.coeffs) for c, other in zip(coords, records)], one)
             if residual:
@@ -368,18 +398,24 @@ def _all_indices(n: int, r: int):
     return itertools.product(range(1, n + 1), repeat=r)
 
 
+def _sorted_indices(n: int, r: int):
+    """The weakly increasing index tuples: one per letter content."""
+    return itertools.combinations_with_replacement(range(1, n + 1), r)
+
+
 def _apply_K_inverse(i: int, v: TensorVector) -> TensorVector:
     return apply_K(i, v, inverse=True)
 
 
 class _Words:
-    """Images of generator words on the index basis vectors, for one suite
-    call.
+    """Images of generator words on the index basis vectors, shared by the
+    suites of one battery.
 
     A generator is a pair (action, i) such as (apply_E, 2).  Its image on a
     basis vector is computed once, by the action itself, and kept in a table.
     Equal table coefficients share one object (there are few distinct ones,
-    mostly powers of q), and a coefficient equal to one is ``self.one``, so
+    mostly powers of q), and so do equal index tuples, which keeps the tables
+    of a whole battery small; a coefficient equal to one is ``self.one``, so
     composing skips those products.  ``words(g1, ..., gk)`` is g1(...gk(v))
     for the current basis vector v: the image of the suffix, pushed through
     the head's table.  Word images are memoised until ``start`` moves on to
@@ -390,7 +426,7 @@ class _Words:
         self.field = field
         self.n = n
         self.one = field.one()
-        self.values = {self.one: self.one}
+        self.shared = {self.one: self.one}
         self.tables: dict[tuple, dict] = {}
         self.memo: dict[tuple, dict] = {}
         self.idx: tuple[int, ...] = ()
@@ -408,9 +444,9 @@ class _Words:
         image = table.get(idx)
         if image is None:
             action, i = gen
-            values = self.values
-            image = table[idx] = {
-                k: values.setdefault(c, c)
+            shared = self.shared
+            image = table[shared.setdefault(idx, idx)] = {
+                shared.setdefault(k, k): shared.setdefault(c, c)
                 for k, c in action(i, TensorVector.basis(self.field, self.n, idx)).coeffs.items()}
         return image
 
@@ -427,10 +463,21 @@ class _Words:
         return image
 
 
-def check_quantum_relations(n: int, r: int, field: ScalarField) -> list[CheckResult]:
+def check_quantum_relations(n: int, r: int, field: ScalarField, *,
+                            words: _Words | None = None) -> list[CheckResult]:
     """Defining relations of the quantized algebra as operator identities on
-    every index basis vector of the degree-r tensor power."""
-    words = _Words(field, n)
+    the sorted index basis vectors of the degree-r tensor power.
+
+    These vectors generate the tensor power as a module over the
+    transposition generators, so a relation that holds on them holds
+    everywhere, provided every generator commutes with every T_i and the
+    T_i act as the Hecke suite checks.  Alone this suite is therefore not
+    complete: it proves the relations only together with
+    ``check_hecke_relations`` and ``check_commuting_actions``, as run by
+    ``verify_suite``.  ``words`` shares tabulated images with those suites.
+    """
+    if words is None:
+        words = _Words(field, n)
     E = {i: (apply_E, i) for i in range(1, n)}
     F = {i: (apply_F, i) for i in range(1, n)}
     K = {i: (apply_K, i) for i in range(1, n + 1)}
@@ -445,7 +492,7 @@ def check_quantum_relations(n: int, r: int, field: ScalarField) -> list[CheckRes
 
     ok_u1 = ok_u2 = ok_u3 = True
     ok_serre_e = ok_serre_f = ok_far_e = ok_far_f = True
-    for idx in _all_indices(n, r):
+    for idx in _sorted_indices(n, r):
         v = words.start(idx)
         for i in range(1, n + 1):
             if words(K[i], K_inv[i]) != v:
@@ -490,10 +537,18 @@ def check_quantum_relations(n: int, r: int, field: ScalarField) -> list[CheckRes
     ]
 
 
-def check_hecke_relations(n: int, r: int, field: ScalarField) -> list[CheckResult]:
+def check_hecke_relations(n: int, r: int, field: ScalarField, *,
+                          words: _Words | None = None) -> list[CheckResult]:
     """Quadratic, braid, and far-commutation relations for the transposition
-    generators on every index basis vector."""
-    words = _Words(field, n)
+    generators on every index basis vector.
+
+    The quadratic row also checks that T_i v_idx is supported on idx and its
+    swap s_i idx, with a nonzero coefficient on s_i idx.  Then each v_idx is
+    reached from the sorted tuple of its content by such swaps, so the sorted
+    vectors generate the tensor power, which is what lets
+    ``check_quantum_relations`` check only them."""
+    if words is None:
+        words = _Words(field, n)
     T = {i: (apply_T, i) for i in range(1, r)}
     qdiff = field.q_power(1) - field.q_power(-1)
 
@@ -501,7 +556,11 @@ def check_hecke_relations(n: int, r: int, field: ScalarField) -> list[CheckResul
     for idx in _all_indices(n, r):
         v = words.start(idx)
         for i in range(1, r):
-            if words(T[i], T[i]) != lincomb([(qdiff, words(T[i])), (words.one, v)], words.one):
+            image = words(T[i])
+            swapped = idx[:i - 1] + (idx[i], idx[i - 1]) + idx[i + 1:]
+            if not image.get(swapped) or not image.keys() <= {idx, swapped}:
+                ok_quad = False
+            if words(T[i], T[i]) != lincomb([(qdiff, image), (words.one, v)], words.one):
                 ok_quad = False
         for i in range(1, r - 1):
             if words(T[i], T[i + 1], T[i]) != words(T[i + 1], T[i], T[i + 1]):
@@ -517,15 +576,22 @@ def check_hecke_relations(n: int, r: int, field: ScalarField) -> list[CheckResul
     ]
 
 
-def check_commuting_actions(n: int, r: int, field: ScalarField) -> CheckResult:
+def check_commuting_actions(n: int, r: int, field: ScalarField, *,
+                            words: _Words | None = None) -> CheckResult:
     """Generator-by-generator commutation of the two actions on every index
-    basis vector."""
-    words = _Words(field, n)
+    basis vector: E_j, F_j, the coroot grouplikes and K_j against every T_i.
+    K_j^-1 is checked to invert K_j, so it commutes with the T_i as well."""
+    if words is None:
+        words = _Words(field, n)
     T = {i: (apply_T, i) for i in range(1, r)}
     gens = [(action, j) for action in (apply_E, apply_F, apply_tK) for j in range(1, n)]
+    gens += [(apply_K, j) for j in range(1, n + 1)]
     ok = True
     for idx in _all_indices(n, r):
-        words.start(idx)
+        v = words.start(idx)
+        for j in range(1, n + 1):
+            if words((apply_K, j), (_apply_K_inverse, j)) != v:
+                ok = False
         for i in range(1, r):
             for gen in gens:
                 if words(gen, T[i]) != words(T[i], gen):
@@ -554,7 +620,9 @@ class VerifyReport:
 
 def verify_suite(n: int, r: int, field: ScalarField) -> VerifyReport:
     """The full battery at one size: highest-weight property, orthogonality,
-    norm formula, counting, relation suites, and commuting actions."""
+    norm formula (against the Gram diagonal), counting, relation suites, and
+    commuting actions.  The three relation suites share one table of
+    generator images."""
     report = VerifyReport(n=n, r=r)
     records = maximal_basis(n, r, field)
 
@@ -567,7 +635,7 @@ def verify_suite(n: int, r: int, field: ScalarField) -> VerifyReport:
         "orthogonality", gram.ok, f"{len(records)}x{len(records)} Gram matrix"))
 
     report.checks.append(CheckResult("norm formula", all([
-        norm_predict(rec.walk, field) == bilinear(rec.vector, rec.vector) for rec in records])))
+        norm_predict(rec.walk, field) == norm for rec, norm in zip(records, gram.diagonal)])))
 
     expected = sum(count_standard(lam) for lam in partitions_in(n, r))
     dim_ok = (
@@ -576,7 +644,8 @@ def verify_suite(n: int, r: int, field: ScalarField) -> VerifyReport:
     )
     report.checks.append(CheckResult("counting", dim_ok, f"{len(records)} = sum of tableau counts"))
 
-    report.checks.extend(check_quantum_relations(n, r, field))
-    report.checks.extend(check_hecke_relations(n, r, field))
-    report.checks.append(check_commuting_actions(n, r, field))
+    words = _Words(field, n)
+    report.checks.extend(check_quantum_relations(n, r, field, words=words))
+    report.checks.extend(check_hecke_relations(n, r, field, words=words))
+    report.checks.append(check_commuting_actions(n, r, field, words=words))
     return report

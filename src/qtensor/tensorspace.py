@@ -1,6 +1,8 @@
 """Sparse vectors in the r-fold tensor power of the vector module, the
 generator actions obtained from the iterated coproduct, the transposition
-generator action, weight extraction, and the standard bilinear form.
+generator action, weight extraction, and the standard bilinear form, which
+pairs cleared numerators (one common denominator per operand) and divides
+once.
 
 Sparse accumulation lives in one place, ``lincomb``: vector sums, the E, F
 and T actions, the lowering elements of ``psiphi`` and the relation suites of
@@ -294,16 +296,13 @@ def apply_T(i: int, v: TensorVector) -> TensorVector:
 
 
 def bilinear(u: TensorVector, v: TensorVector):
-    """Standard symmetric form: the index basis is orthonormal."""
+    """Standard symmetric form: the index basis is orthonormal.  Each operand
+    is cleared to one denominator and the numerators are paired in the ring
+    (``ScalarField.clear`` and ``pair``), so the sum is normalized once."""
     u._check_shape(v)
-    if len(v.coeffs) < len(u.coeffs):
-        u, v = v, u
-    total = u.field.zero()
-    for idx, c in u.coeffs.items():
-        d = v.coeffs.get(idx)
-        if d is not None:
-            total = total + c * d
-    return total
+    field = u.field
+    cu = field.clear(u.coeffs)
+    return field.pair(cu, cu if v is u else field.clear(v.coeffs))
 
 
 def prepend(letter: int, v: TensorVector) -> TensorVector:

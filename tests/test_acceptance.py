@@ -148,7 +148,8 @@ def test_criterion_5_relation_suites():
                 ok = False
             if not check_commuting_actions(n, r, GEN).ok:
                 ok = False
-    _report(5, f"defining/quadratic/braid/commutation relations on every basis vector, n<={N_MAX}, r<={R_MAX_RELATIONS}",
+    _report(5, f"defining relations on the sorted basis vectors, quadratic/braid/commutation relations "
+               f"on every basis vector, n<={N_MAX}, r<={R_MAX_RELATIONS}",
             ok, time.monotonic() - start)
 
 

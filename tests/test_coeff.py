@@ -230,6 +230,49 @@ def test_field_one_is_shared(field):
     assert field.one() == field.from_int(1)
 
 
+@pytest.mark.parametrize("field", [ScalarField.generic(), ScalarField.at("3/2")], ids=["generic", "q0"])
+def test_field_zero_is_shared(field):
+    # built once per field, like the one, and returned by pair for a vanishing sum
+    assert field.zero() is field.zero()
+    assert field.zero() == field.from_int(0) and not field.zero()
+    assert field.pair(field.clear({(1,): field.one()}), field.clear({(2,): field.one()})) is field.zero()
+    assert field == ScalarField(field.q0) and hash(field) == hash((field.q0,))
+
+
+@st.composite
+def coefficient_dicts(draw):
+    """A dict of fractions over either field: q-integer quotients times
+    integer fractions and powers of q."""
+    field = draw(st.sampled_from([ScalarField.generic(), ScalarField.at("3/2")]))
+    small = st.integers(min_value=1, max_value=5)
+    out = {}
+    for key in range(draw(st.integers(min_value=0, max_value=6))):
+        num = field.from_int(draw(st.integers(min_value=-4, max_value=4))) * field.qint(draw(small))
+        den = field.from_int(draw(small)) * field.qint(draw(small)) * field.qint(draw(small))
+        out[key] = num * field.q_power(draw(st.integers(min_value=-3, max_value=3))) / den
+    return field, out
+
+
+@given(case=coefficient_dicts())
+@settings(max_examples=80, deadline=None)
+def test_clear_invariants(case):
+    field, coeffs = case
+    D, numerators = field.clear(coeffs)
+    assert numerators.keys() == coeffs.keys()
+    if field.q0 is None:
+        # numerators in Z[q, 1/q], D the lcm of the denominators in canonical form
+        assert isinstance(D, LaurentPoly) and D.min_exp() == 0 and D.coeff(D.max_exp()) > 0
+        assert all(isinstance(a, LaurentPoly) for a in numerators.values())
+        assert all(RatFunc(numerators[k], D) == c for k, c in coeffs.items())
+        dens = [to_sympy(c.den) for c in coeffs.values()]
+        assert sympy.expand(to_sympy(D) - reduce(sympy.lcm, dens, sympy.Integer(1))) == 0
+    else:
+        assert isinstance(D, int) and D > 0
+        assert all(isinstance(a, int) for a in numerators.values())
+        assert all(Fraction(numerators[k], D) == c for k, c in coeffs.items())
+        assert D == reduce(lambda a, b: a * b // gcd(a, b), (c.denominator for c in coeffs.values()), 1)
+
+
 def test_specialized_q_power_memo_keeps_fields_apart():
     # the memo is shared by every field; q0 and its sign and inverse must not collide
     for _ in range(2):

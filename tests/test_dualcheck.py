@@ -1,11 +1,12 @@
 import itertools
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtensor import dualcheck
-from qtensor.coeff import ScalarField
+from qtensor.coeff import ScalarField, specialize
 from qtensor.combinatorics import Partition, Walk, a_const, c_const, d_const, enumerate_walks, partitions_in
 from qtensor.dualcheck import (
     SpechtConsistencyError,
@@ -231,26 +232,179 @@ def test_verify_suite_specialized():
     assert rep.ok
 
 
+def test_cleared_pairings_specialize():
+    # Gram diagonals and Specht matrices from cleared pairings on the generic
+    # field, evaluated at q0, equal the ones computed at q0
+    q0 = Fraction(3, 2)
+    spec = ScalarField.at(q0)
+    generic = gram_check(maximal_basis(3, 4, GEN))
+    assert [specialize(d, q0) for d in generic.diagonal] == gram_check(maximal_basis(3, 4, spec)).diagonal
+    for lam in partitions_in(3, 4):
+        gdata, sdata = specht_matrices(lam, 3, 4, GEN), specht_matrices(lam, 3, 4, spec)
+        assert [specialize(c, q0) for c in gdata.gram_diagonal] == sdata.gram_diagonal
+        assert [[[specialize(c, q0) for c in row] for row in M] for M in gdata.t_matrices] == sdata.t_matrices
+
+
 # -- relation suites can fail ---------------------------------------------------
 
 FIELDS = [GEN, ScalarField.at(Fraction(3, 2))]
 
 
-def _skewed(real):
+def _skewed(real, hit=lambda idx: idx[0] == 1):
     """The action, with a stray factor q on the image of every basis vector
-    whose first letter is 1; still linear, so it is the same map however the
-    suite splits its inputs."""
+    whose index satisfies ``hit`` (by default: first letter 1); still linear,
+    so it is the same map however the suite splits its inputs."""
 
-    def action(i, v):
+    def action(i, v, **options):
         out = TensorVector.zero(v.field, v.n, v.r)
         for idx, c in v.coeffs.items():
-            image = real(i, TensorVector.basis(v.field, v.n, idx)).scale(c)
-            if idx[0] == 1:
+            image = real(i, TensorVector.basis(v.field, v.n, idx), **options).scale(c)
+            if hit(idx):
                 image = image.scale(v.field.q_power(1))
             out = out + image
         return out
 
     return action
+
+
+def exhaustive_quantum_relations(n, r, field):
+    """Oracle for ``check_quantum_relations``: the U1-U7 relations applied
+    directly, without tables, to all n^r basis vectors, through the actions
+    ``dualcheck`` holds when called.  Returns {check name: verdict}."""
+    E = {i: partial(dualcheck.apply_E, i) for i in range(1, n)}
+    F = {i: partial(dualcheck.apply_F, i) for i in range(1, n)}
+    K = {i: partial(dualcheck.apply_K, i) for i in range(1, n + 1)}
+    K_inv = {i: partial(dualcheck._apply_K_inverse, i) for i in range(1, n + 1)}
+    q = field.q_power
+    ok = dict.fromkeys(["U1", "U2", "U3", "U4", "U5", "U6", "U7"], True)
+    for idx in itertools.product(range(1, n + 1), repeat=r):
+        v = TensorVector.basis(field, n, idx)
+
+        def w(*ops):
+            out = v
+            for op in reversed(ops):
+                out = op(out)
+            return out
+
+        for i in range(1, n + 1):
+            ok["U1"] &= w(K[i], K_inv[i]) == v
+            ok["U1"] &= all(w(K[i], K[j]) == w(K[j], K[i]) for j in range(1, n + 1))
+            for j in range(1, n):
+                h = (i == j) - (i == j + 1)
+                ok["U3"] &= w(K[i], E[j]) == w(E[j], K[i]).scale(q(h))
+                ok["U3"] &= w(K[i], F[j]) == w(F[j], K[i]).scale(q(-h))
+        for i in range(1, n):
+            for j in range(1, n):
+                rhs = w(F[j], E[i])
+                if i == j:
+                    rhs = rhs + v.scale(field.qint(idx.count(i) - idx.count(i + 1)))
+                ok["U2"] &= w(E[i], F[j]) == rhs
+                for X, serre, far in ((E, "U4", "U5"), (F, "U6", "U7")):
+                    if abs(i - j) == 1:
+                        ok[serre] &= (w(X[i], X[i], X[j]) + w(X[j], X[i], X[i])
+                                      == w(X[i], X[j], X[i]).scale(q(1) + q(-1)))
+                    elif abs(i - j) > 1:
+                        ok[far] &= w(X[i], X[j]) == w(X[j], X[i])
+    return ok
+
+
+def _quantum_ok(n, r, field):
+    return all(c.ok for c in check_quantum_relations(n, r, field))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
+def test_sorted_tuples_give_the_exhaustive_verdicts(field):
+    for n, r in [(1, 3), (2, 4), (3, 3), (4, 2)]:
+        reduced = check_quantum_relations(n, r, field)
+        exhaustive = exhaustive_quantum_relations(n, r, field)
+        assert [c.name.split()[0] for c in reduced] == list(exhaustive)
+        assert [c.ok for c in reduced] == list(exhaustive.values()) == [True] * 7
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
+@pytest.mark.parametrize("n,r", [(3, 3), (2, 4)])
+def test_mutation_parity_of_the_reduced_battery(n, r, field, monkeypatch):
+    """Single-site skews: a stray q on the images of basis vectors with one
+    letter at one position, in each action the suites tabulate.  The reduced
+    battery must fail on every skew the exhaustive one fails on."""
+    mutants = caught = 0
+    for name in ("apply_E", "apply_F", "apply_K", "apply_tK", "apply_T", "_apply_K_inverse"):
+        real = getattr(dualcheck, name)
+        for pos in range(r):
+            for letter in range(1, n + 1):
+                monkeypatch.setattr(dualcheck, name, _skewed(real, lambda idx: idx[pos] == letter))
+                # the Hecke and commuting suites belong to both batteries
+                shared = not (all(c.ok for c in check_hecke_relations(n, r, field))
+                              and check_commuting_actions(n, r, field).ok)
+                exhaustive = not all(exhaustive_quantum_relations(n, r, field).values()) or shared
+                reduced = not _quantum_ok(n, r, field) or shared
+                assert reduced or not exhaustive, (name, pos, letter)
+                mutants += 1
+                caught += exhaustive
+        monkeypatch.setattr(dualcheck, name, real)
+    assert mutants == 6 * r * n
+    assert caught == mutants
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
+@pytest.mark.parametrize("name", ["apply_E", "_apply_K_inverse"])
+def test_skew_on_an_unsorted_tuple_fails_commuting_actions(name, field, monkeypatch):
+    # v[3,2,1] is never an input of E or K^-1 in a relation word on a sorted
+    # tuple, so the reduced U1-U7 pass; the commuting suite catches the skew
+    monkeypatch.setattr(dualcheck, name, _skewed(getattr(dualcheck, name), lambda idx: idx == (3, 2, 1)))
+    assert check_commuting_actions(3, 3, field).ok is False
+    assert not all(exhaustive_quantum_relations(3, 3, field).values())
+    assert _quantum_ok(3, 3, field)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
+def test_grouplike_skew_with_matching_inverse_fails_commuting_actions(field, monkeypatch):
+    # K_j and K_j^-1 stay inverse to each other, and K never meets v[3,2,1] in
+    # a relation word on a sorted tuple: only K_j against the T_i catches this
+    real = dualcheck.apply_K
+
+    def apply_K(j, v, inverse=False):
+        stray = field.q_power(-1 if inverse else 1)
+        out = real(j, v, inverse=inverse).coeffs
+        return TensorVector(field, v.n, v.r, {idx: c * stray if idx == (3, 2, 1) else c for idx, c in out.items()})
+
+    monkeypatch.setattr(dualcheck, "apply_K", apply_K)
+    assert check_commuting_actions(3, 3, field).ok is False
+    assert exhaustive_quantum_relations(3, 3, field)["U3"] is False
+    assert _quantum_ok(3, 3, field)
+
+
+def _relabel_first(v):
+    """Swap the letters 1 and 2 in the first tensor slot (an involution)."""
+    swap = {1: 2, 2: 1}
+    return TensorVector(v.field, v.n, v.r,
+                        {(swap.get(idx[0], idx[0]),) + idx[1:]: c for idx, c in v.coeffs.items()})
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
+def test_leaking_transposition_fails_quadratic_relation(field, monkeypatch):
+    # a conjugate of the T action still satisfies every Hecke relation, but
+    # T_1 v[1,3] = v[3,2] + (q - 1/q) v[1,3] leaves the span of v[1,3], v[3,1]
+    real = dualcheck.apply_T
+    monkeypatch.setattr(dualcheck, "apply_T", lambda i, v: _relabel_first(real(i, _relabel_first(v))))
+    verdicts = {c.name: c.ok for c in check_hecke_relations(3, 3, field)}
+    assert verdicts == {"quadratic relation": False, "braid relation": True,
+                        "far commutation of transpositions": True}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
+def test_scalar_transposition_fails_quadratic_relation(field, monkeypatch):
+    # T_i = q satisfies every Hecke relation and commutes with everything, but
+    # the sorted vectors no longer generate: a skew of E on v[3,2,1] then
+    # slips past the reduced U1-U7 and the commuting suite, and only the
+    # nonzero coefficient on s_i idx that the quadratic row asks for is missing
+    monkeypatch.setattr(dualcheck, "apply_T", lambda i, v: v.scale(field.q_power(1)))
+    monkeypatch.setattr(dualcheck, "apply_E", _skewed(dualcheck.apply_E, lambda idx: idx == (3, 2, 1)))
+    assert not all(exhaustive_quantum_relations(3, 3, field).values())
+    assert _quantum_ok(3, 3, field) and check_commuting_actions(3, 3, field).ok
+    verdicts = {c.name: c.ok for c in check_hecke_relations(3, 3, field)}
+    assert verdicts == {"quadratic relation": False, "braid relation": True,
+                        "far commutation of transpositions": True}
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])

@@ -21,6 +21,7 @@ PACKAGE_ROOT = str(Path(qtensor.__file__).resolve().parent.parent)
     ("run_full_checks.py", ["--n-max", "2", "--r-max", "3"], "sweep complete: all checks passed"),
     ("specialization_sweep.py", ["--n", "2", "--r", "3"],
      "agreement between specialized pipeline and evaluated generic answers: True"),
+    ("stage_times.py", ["--n", "2", "--r", "3"], "all stages passed"),
 ])
 def test_script_smoke(script, args, expected):
     env = dict(os.environ)

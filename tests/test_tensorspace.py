@@ -155,6 +155,57 @@ def test_lincomb(field):
     assert lincomb([], one) == {}
 
 
+def termwise_bilinear(u, v):
+    """Oracle for the cleared pairing: the standard form summed term by term,
+    each partial sum in the field."""
+    total = u.field.zero()
+    for idx, c in u.coeffs.items():
+        d = v.coeffs.get(idx)
+        if d is not None:
+            total = total + c * d
+    return total
+
+
+@st.composite
+def pairing_operands(draw):
+    """Two vectors of one space over either field, with coefficients that
+    carry integer and polynomial denominators; either may be zero, and their
+    supports may be equal, disjoint or overlapping."""
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(min_value=2, max_value=3))
+    r = draw(st.integers(min_value=1, max_value=3))
+    indices = list(itertools.product(range(1, n + 1), repeat=r))
+    small = st.integers(min_value=1, max_value=4)
+
+    def coeff():
+        num = field.from_int(draw(st.sampled_from([-3, -1, 1, 2]))) * field.qint(draw(small))
+        return num * field.q_power(draw(st.integers(min_value=-3, max_value=3))) / (
+            field.from_int(draw(st.integers(min_value=1, max_value=3))) * field.qint(draw(small)))
+
+    u_keys = draw(st.lists(st.sampled_from(indices), max_size=6, unique=True))
+    support = draw(st.sampled_from(["same", "disjoint", "any"]))
+    if support == "same":
+        v_keys = u_keys
+    else:
+        pool = [idx for idx in indices if support == "any" or idx not in u_keys]
+        v_keys = draw(st.lists(st.sampled_from(pool), max_size=6, unique=True)) if pool else []
+    return (TensorVector(field, n, r, {idx: coeff() for idx in u_keys}),
+            TensorVector(field, n, r, {idx: coeff() for idx in v_keys}))
+
+
+@given(case=pairing_operands())
+@settings(max_examples=120, deadline=None)
+def test_cleared_pairing_matches_termwise(case):
+    u, v = case
+    field = u.field
+    expected = termwise_bilinear(u, v)
+    assert field.pair(field.clear(u.coeffs), field.clear(v.coeffs)) == expected
+    assert bilinear(u, v) == expected == bilinear(v, u)
+    assert bilinear(u, u) == termwise_bilinear(u, u)
+    if not expected:
+        assert bilinear(u, v) is field.zero()
+
+
 def test_bilinear_examples():
     v12, v21 = basis((1, 2)), basis((2, 1))
     assert bilinear(v12, v12) == GEN.one()
