@@ -3,7 +3,9 @@
 Commands enumerate walks, print or export the highest-weight vectors and
 the recursion elements, run the verification battery, and emit norm, matrix,
 and decomposition reports.  Exit status: 0 on success, 1 when a verification
-assertion fails, 2 on usage errors.
+assertion fails, 2 on usage errors, among them a --shape that is not a
+partition of --r into at most --n parts (for psi, which ignores --r: a
+--shape with more than --n parts).
 
 Flag grammar::
 
@@ -16,31 +18,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import dualcheck, psiphi, tensorspace
 from .coeff import ScalarField
 from .combinatorics import Partition, enumerate_walks, partitions_in
 
-__all__ = ["CliConfig", "run_cli", "export_json", "main"]
+__all__ = ["run_cli", "export_json", "main"]
 
 COMMANDS = ("walks", "vectors", "psi", "verify", "norms", "specht", "decompose", "invariants")
-
-
-class CliConfig:
-    def __init__(self, command: str, n: int, r: int, shape: Partition | None = None,
-                 q0: Fraction | None = None, output: str = "text", out_path: str | None = None):
-        self.command = command
-        self.n = n
-        self.r = r
-        self.shape = shape
-        self.q0 = q0
-        self.output = output
-        self.out_path = out_path
-
-    @property
-    def field(self) -> ScalarField:
-        return ScalarField(self.q0)
+SHAPE_OF_DEGREE_R = ("walks", "vectors", "norms", "specht")
 
 
 class _UsageError(Exception):
@@ -65,28 +51,30 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_config(argv: list[str]) -> CliConfig:
-    ns = _build_parser().parse_args(argv)
-    shape = None
-    if ns.shape:
+def _parse_config(argv: list[str]) -> argparse.Namespace:
+    """The parsed flags, with ``shape`` a validated `Partition` (or None) and
+    ``field`` the one `ScalarField` of the run."""
+    cfg = _build_parser().parse_args(argv)
+    text, cfg.shape = cfg.shape, None
+    if text:
         try:
-            shape = Partition.from_string(ns.shape)
+            cfg.shape = Partition.from_string(text)
         except ValueError as exc:
-            raise _UsageError(f"bad --shape value {ns.shape!r}: {exc}") from None
-    q0 = None
-    if ns.q0 is not None:
-        try:
-            q0 = ScalarField.at(ns.q0).q0
-        except (ValueError, ZeroDivisionError) as exc:
-            raise _UsageError(f"bad --q0 value {ns.q0!r}: {exc}") from None
-    if ns.n is None or ns.n < 1:
+            raise _UsageError(f"bad --shape value {text!r}: {exc}") from None
+    try:
+        cfg.field = ScalarField.generic() if cfg.q0 is None else ScalarField.at(cfg.q0)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise _UsageError(f"bad --q0 value {cfg.q0!r}: {exc}") from None
+    if cfg.n < 1:
         raise _UsageError("--n must be a positive integer")
-    if ns.r < 0:
+    if cfg.r < 0:
         raise _UsageError("--r must be nonnegative")
-    return CliConfig(
-        command=ns.command, n=ns.n, r=ns.r, shape=shape,
-        q0=q0, output=ns.output, out_path=ns.out_path,
-    )
+    shape = cfg.shape
+    if shape is not None and cfg.command in SHAPE_OF_DEGREE_R and (shape.size != cfg.r or shape.nrows > cfg.n):
+        raise _UsageError(f"--shape {shape} is not a partition of --r {cfg.r} into at most --n {cfg.n} parts")
+    if shape is not None and cfg.command == "psi" and shape.nrows > cfg.n:
+        raise _UsageError(f"--shape {shape} has more than --n {cfg.n} parts")
+    return cfg
 
 
 def _write(text: str, path: str) -> None:
@@ -106,7 +94,7 @@ def export_json(payload, path: str | None) -> str:
     return text
 
 
-def _emit(cfg: CliConfig, text_lines: list[str], json_payload) -> None:
+def _emit(cfg: argparse.Namespace, text_lines: list[str], json_payload) -> None:
     if cfg.output == "json":
         out = export_json(json_payload, cfg.out_path)
         if cfg.out_path is None:
@@ -119,17 +107,15 @@ def _emit(cfg: CliConfig, text_lines: list[str], json_payload) -> None:
             sys.stdout.write(body)
 
 
-def _cmd_walks(cfg: CliConfig) -> int:
+def _cmd_walks(cfg: argparse.Namespace) -> int:
     walks = enumerate_walks(cfg.n, cfg.r, cfg.shape)
     rows = [list(w.rows) for w in walks]
     _emit(cfg, [json.dumps(row, separators=(",", ":")) for row in rows], rows)
     return 0
 
 
-def _cmd_vectors(cfg: CliConfig) -> int:
-    field = cfg.field
-    walks = enumerate_walks(cfg.n, cfg.r, cfg.shape)
-    records = [psiphi.build_c_pi(w, field, cfg.n) for w in walks]
+def _cmd_vectors(cfg: argparse.Namespace) -> int:
+    records = dualcheck.maximal_basis(cfg.n, cfg.r, cfg.field, cfg.shape)
     payload = [tensorspace.vector_to_json_dict(rec.vector) for rec in records]
     lines = [
         f"walk {rec.walk} -> shape {rec.weight}: {tensorspace.format_vector(rec.vector)}"
@@ -139,7 +125,7 @@ def _cmd_vectors(cfg: CliConfig) -> int:
     return 0
 
 
-def _cmd_psi(cfg: CliConfig) -> int:
+def _cmd_psi(cfg: argparse.Namespace) -> int:
     if cfg.shape is None:
         raise _UsageError("psi needs --shape")
     field = cfg.field
@@ -152,7 +138,7 @@ def _cmd_psi(cfg: CliConfig) -> int:
             payload.append({
                 "j": j,
                 "terms": [
-                    {"word": list(w), "coeff": field.render(c)}
+                    {"word": list(w), "coeff": str(c)}
                     for w, c in sorted(el.terms.items())
                 ],
             })
@@ -163,7 +149,7 @@ def _cmd_psi(cfg: CliConfig) -> int:
     return 0
 
 
-def _cmd_verify(cfg: CliConfig) -> int:
+def _cmd_verify(cfg: argparse.Namespace) -> int:
     report = dualcheck.verify_suite(cfg.n, cfg.r, cfg.field)
     lines = [
         f"[{'PASS' if c.ok else 'FAIL'}] {c.name}" + (f" ({c.detail})" if c.detail else "")
@@ -174,11 +160,9 @@ def _cmd_verify(cfg: CliConfig) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_norms(cfg: CliConfig) -> int:
+def _cmd_norms(cfg: argparse.Namespace) -> int:
     field = cfg.field
-    records = dualcheck.maximal_basis(cfg.n, cfg.r, field)
-    if cfg.shape is not None:
-        records = [rec for rec in records if rec.weight == cfg.shape]
+    records = dualcheck.maximal_basis(cfg.n, cfg.r, field, cfg.shape)
     ok = True
     lines = []
     payload = []
@@ -188,19 +172,19 @@ def _cmd_norms(cfg: CliConfig) -> int:
         match = predicted == computed
         ok = ok and match
         lines.append(
-            f"walk {rec.walk}: norm {field.render(computed)} "
+            f"walk {rec.walk}: norm {computed} "
             f"({'matches' if match else 'DISAGREES WITH'} closed form)")
         payload.append({
             "walk": list(rec.walk.rows),
-            "predicted": field.render(predicted),
-            "computed": field.render(computed),
+            "predicted": str(predicted),
+            "computed": str(computed),
             "match": match,
         })
     _emit(cfg, lines, payload)
     return 0 if ok else 1
 
 
-def _cmd_specht(cfg: CliConfig) -> int:
+def _cmd_specht(cfg: argparse.Namespace) -> int:
     field = cfg.field
     shapes = [cfg.shape] if cfg.shape is not None else list(partitions_in(cfg.n, cfg.r))
     lines = []
@@ -217,14 +201,14 @@ def _cmd_specht(cfg: CliConfig) -> int:
         lines.append(f"shape {lam}: {size}x{size} matrices for {len(data.t_matrices)} generators")
         for i, mat in enumerate(data.t_matrices, start=1):
             for row_idx, row in enumerate(mat):
-                rendered = ", ".join(field.render(c) for c in row)
+                rendered = ", ".join(str(c) for c in row)
                 lines.append(f"  T_{i} row {row_idx}: [{rendered}]")
         payload.append({
             "shape": list(lam.parts),
             "size": size,
-            "gram_diagonal": [field.render(c) for c in data.gram_diagonal],
+            "gram_diagonal": [str(c) for c in data.gram_diagonal],
             "t_matrices": [
-                [[field.render(c) for c in row] for row in mat]
+                [[str(c) for c in row] for row in mat]
                 for mat in data.t_matrices
             ],
         })
@@ -232,7 +216,7 @@ def _cmd_specht(cfg: CliConfig) -> int:
     return status
 
 
-def _cmd_decompose(cfg: CliConfig) -> int:
+def _cmd_decompose(cfg: argparse.Namespace) -> int:
     report = dualcheck.decomposition_report(cfg.n, cfg.r, cfg.field)
     lines = [f"tensor power {cfg.n}^{cfg.r} = {report.total}"]
     for row in report.rows:
@@ -244,7 +228,7 @@ def _cmd_decompose(cfg: CliConfig) -> int:
     return 0 if report.identity_ok else 1
 
 
-def _cmd_invariants(cfg: CliConfig) -> int:
+def _cmd_invariants(cfg: argparse.Namespace) -> int:
     records = dualcheck.invariants_basis(cfg.n, cfg.r, cfg.field)
     lines = [f"{len(records)} invariant vector(s) in degree {cfg.r} over {cfg.n} letters"]
     for rec in records:

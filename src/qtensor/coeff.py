@@ -720,11 +720,6 @@ class ScalarField:
             return RatFunc.from_laurent(qint(m))
         return qint(m).evaluate(self.q0)
 
-    def qfact(self, m: int):
-        if self.q0 is None:
-            return RatFunc.from_laurent(qfact(m))
-        return qfact(m).evaluate(self.q0)
-
     def clear(self, coeffs: dict) -> tuple:
         """(D, numerators) with coeffs[k] == numerators[k] / D for every key:
         D is the lcm of the denominators (a positive int at q0; on the generic
@@ -748,9 +743,6 @@ class ScalarField:
         get = nv.get
         total = sum([a * b for k, a in nu.items() if (b := get(k)) is not None])
         return Fraction(total, du * dv) if total else self._zero
-
-    def render(self, c) -> str:
-        return str(c)
 
     def parse(self, s: str):
         if self.q0 is None:

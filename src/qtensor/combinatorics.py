@@ -91,11 +91,6 @@ class Partition:
         ps[row - 1] += 1
         return Partition(tuple(ps))
 
-    def to_weight(self, n: int) -> tuple[int, ...]:
-        if len(self.parts) > n:
-            raise ValueError(f"{self} has more than {n} parts")
-        return tuple(self.row(i) for i in range(1, n + 1))
-
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.parts) if self.parts else "0"
 

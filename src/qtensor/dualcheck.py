@@ -31,7 +31,7 @@ So ``check_quantum_relations`` alone is complete only together with the
 other two suites, as ``verify_suite`` runs them.  Each generator's image of
 each basis vector is computed once by the tensor action itself (looked up in
 this module when the suite runs, so a replaced action is the one checked)
-and kept in a table shared by the three suites of one ``verify_suite`` call.
+and kept in a table shared by the three suites of one ``verify_stages`` run.
 A word's image on a basis vector is the image of its suffix pushed through
 one more table by ``tensorspace.lincomb``, the package's one sparse linear
 combination, and is memoised per basis vector so that words sharing a
@@ -87,13 +87,18 @@ __all__ = [
     "check_quantum_relations",
     "check_hecke_relations",
     "check_commuting_actions",
+    "verify_stages",
     "verify_suite",
 ]
 
 
-def maximal_basis(n: int, r: int, field: ScalarField) -> list[MaximalVectorRecord]:
-    """One record per walk, in walk-lexicographic order."""
-    return [build_c_pi(w, field, n) for w in enumerate_walks(n, r)]
+def maximal_basis(n: int, r: int, field: ScalarField,
+                  shape: Partition | None = None) -> list[MaximalVectorRecord]:
+    """One record per walk, in walk-lexicographic order; with ``shape``, only
+    the walks ending there (none when it is not a partition of r into at most
+    n parts), pruned during the enumeration.  Every walk vector the package
+    builds comes from here, except the single one of ``root_vector_check``."""
+    return [build_c_pi(w, field, n) for w in enumerate_walks(n, r, shape)]
 
 
 class GramReport:
@@ -166,10 +171,9 @@ def specht_matrices(lam: Partition, n: int, r: int, field: ScalarField) -> Spech
     diagonal norm); the residual after projection is asserted to vanish.
     Each walk vector and each image is cleared once for its pairings.
     """
-    walks = enumerate_walks(n, r, lam)
-    if not walks:
+    records = maximal_basis(n, r, field, lam)
+    if not records:
         raise ValueError(f"{lam} is not a shape of degree {r} with at most {n} rows")
-    records = [build_c_pi(w, field, n) for w in walks]
     cleared = [field.clear(rec.vector.coeffs) for rec in records]
     norms = [field.pair(c, c) for c in cleared]
     one = field.one()
@@ -223,7 +227,7 @@ def invariants_basis(n: int, r: int, field: ScalarField) -> list[MaximalVectorRe
     if r % n != 0:
         return []
     shape = Partition((r // n,) * n) if r else Partition()
-    records = [build_c_pi(w, field, n) for w in enumerate_walks(n, r, shape)]
+    records = maximal_basis(n, r, field, shape)
     for rec in records:
         v = rec.vector
         for i in range(1, n):
@@ -278,15 +282,14 @@ def decomposition_report(n: int, r: int, field: ScalarField) -> DecompositionRep
     sum(weyl_dim * f) = n^r."""
     rows = []
     for lam in partitions_in(n, r):
-        walks = enumerate_walks(n, r, lam)
-        records = [build_c_pi(w, field, n) for w in walks]
+        records = maximal_basis(n, r, field, lam)
         all_max = all(is_maximal(rec.vector) for rec in records) if records else True
         gram_ok = gram_check(records).ok if records else True
         rows.append(ShapeRow(
             shape=lam,
             weyl_dim=weyl_dim(lam, n),
             f=count_standard(lam),
-            walks=len(walks),
+            walks=len(records),
             all_maximal=all_max,
             gram_diagonal=gram_ok,
         ))
@@ -341,7 +344,8 @@ def root_vector_check(lam: Partition, n: int, field: ScalarField) -> RootVectorR
     """Collect the lowering elements attached to all rows m = 2..n, check the
     expected count, distinct weights, and linear independence, then apply them
     to a highest-weight vector in tensor space and re-check independence of
-    the nonvanishing images."""
+    the nonvanishing images.  Only the first walk vector of the shape is
+    needed, so it is built directly rather than through ``maximal_basis``."""
     for j in range(1, n):
         if lam.row(j) - lam.row(j + 1) == 0:
             raise ValueError(f"weight {lam} has a vanishing coroot pairing at {j}")
@@ -600,10 +604,10 @@ def check_commuting_actions(n: int, r: int, field: ScalarField, *,
 
 
 class VerifyReport:
-    def __init__(self, n: int, r: int, checks: list[CheckResult] | None = None):
+    def __init__(self, n: int, r: int, checks: list[CheckResult]):
         self.n = n
         self.r = r
-        self.checks = [] if checks is None else checks
+        self.checks = checks
 
     @property
     def ok(self) -> bool:
@@ -618,34 +622,38 @@ class VerifyReport:
         }
 
 
-def verify_suite(n: int, r: int, field: ScalarField) -> VerifyReport:
-    """The full battery at one size: highest-weight property, orthogonality,
-    norm formula (against the Gram diagonal), counting, relation suites, and
-    commuting actions.  The three relation suites share one table of
-    generator images."""
-    report = VerifyReport(n=n, r=r)
+def verify_stages(n: int, r: int, field: ScalarField):
+    """The full battery at one size, stage by stage: yields ``(stage,
+    checks)`` for build (no checks), maximality, Gram, norms (against the Gram
+    diagonal), counting, quantum, Hecke and commuting, in that order.  The
+    three relation suites share one table of generator images.  Each stage
+    runs when the generator is resumed, so the gaps between yields time it."""
     records = maximal_basis(n, r, field)
+    yield "build", []
 
-    report.checks.append(CheckResult(
+    yield "maximality", [CheckResult(
         "maximality", all([rec.vector.r == 0 or is_maximal(rec.vector) for rec in records]),
-        f"{len(records)} walk vectors"))
+        f"{len(records)} walk vectors")]
 
     gram = gram_check(records)
-    report.checks.append(CheckResult(
-        "orthogonality", gram.ok, f"{len(records)}x{len(records)} Gram matrix"))
+    yield "Gram", [CheckResult("orthogonality", gram.ok, f"{len(records)}x{len(records)} Gram matrix")]
 
-    report.checks.append(CheckResult("norm formula", all([
-        norm_predict(rec.walk, field) == norm for rec, norm in zip(records, gram.diagonal)])))
+    yield "norms", [CheckResult("norm formula", all([
+        norm_predict(rec.walk, field) == norm for rec, norm in zip(records, gram.diagonal)]))]
 
     expected = sum(count_standard(lam) for lam in partitions_in(n, r))
     dim_ok = (
         len(records) == expected
         and sum(weyl_dim(lam, n) * count_standard(lam) for lam in partitions_in(n, r)) == n**r
     )
-    report.checks.append(CheckResult("counting", dim_ok, f"{len(records)} = sum of tableau counts"))
+    yield "counting", [CheckResult("counting", dim_ok, f"{len(records)} = sum of tableau counts")]
 
     words = _Words(field, n)
-    report.checks.extend(check_quantum_relations(n, r, field, words=words))
-    report.checks.extend(check_hecke_relations(n, r, field, words=words))
-    report.checks.append(check_commuting_actions(n, r, field, words=words))
-    return report
+    yield "quantum", check_quantum_relations(n, r, field, words=words)
+    yield "Hecke", check_hecke_relations(n, r, field, words=words)
+    yield "commuting", [check_commuting_actions(n, r, field, words=words)]
+
+
+def verify_suite(n: int, r: int, field: ScalarField) -> VerifyReport:
+    """The checks of every stage of ``verify_stages``, in order."""
+    return VerifyReport(n=n, r=r, checks=[c for _, checks in verify_stages(n, r, field) for c in checks])

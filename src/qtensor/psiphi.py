@@ -144,7 +144,7 @@ class NegElement:
             return "0"
         parts = []
         for w in sorted(self.terms):
-            c = self.field.render(self.terms[w])
+            c = str(self.terms[w])
             parts.append(f"{c} * F[{','.join(map(str, w))}]")
         return " + ".join(parts)
 

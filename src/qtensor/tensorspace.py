@@ -322,7 +322,7 @@ def prepend(letter: int, v: TensorVector) -> TensorVector:
 
 
 def vector_to_json_dict(v: TensorVector) -> dict:
-    terms = [{"idx": list(idx), "coeff": v.field.render(c)} for idx, c in v.iter_terms()]
+    terms = [{"idx": list(idx), "coeff": str(c)} for idx, c in v.iter_terms()]
     return {"n": v.n, "r": v.r, "terms": terms}
 
 
@@ -341,7 +341,7 @@ def format_vector(v: TensorVector) -> str:
         return "0"
     parts = []
     for idx, c in v.iter_terms():
-        ctext = v.field.render(c)
+        ctext = str(c)
         if " " in ctext and not ctext.startswith("("):
             ctext = f"({ctext})"
         body = "v[" + ",".join(map(str, idx)) + "]"

@@ -120,6 +120,24 @@ def test_bad_shape_is_usage_error(capsys):
         assert status == 2 and "--shape" in err
 
 
+@pytest.mark.parametrize("argv", [
+    "walks --n 2 --r 2 --shape 3",
+    "vectors --n 2 --r 3 --shape 1,1,1",
+    "norms --n 3 --r 3 --shape 2,1,1",
+    "specht --n 2 --r 2 --shape 3",
+])
+def test_shape_not_of_degree_r_is_usage_error(argv, capsys):
+    status, out, err = run(argv.split(), capsys)
+    assert status == 2 and out == ""
+    assert "is not a partition of --r" in err and "Traceback" not in err
+
+
+def test_psi_shape_with_too_many_parts_is_usage_error(capsys):
+    status, out, err = run(["psi", "--n", "3", "--shape", "1,1,1,1"], capsys)
+    assert status == 2 and out == ""
+    assert "--shape 1,1,1,1 has more than --n 3 parts" in err
+
+
 def test_unwritable_out_path(tmp_path, capsys):
     missing = str(tmp_path / "missing" / "x")
     for output in ("text", "json"):

@@ -216,8 +216,8 @@ def test_scalar_field_dispatch():
     assert gen.q_power(-2) == RatFunc.from_laurent(LaurentPoly.q_power(-2))
     assert spec.qint(2) == Fraction(3, 2) + Fraction(2, 3)
     assert spec.q_power(-2) == Fraction(4, 9)
-    assert gen.parse(gen.render(gen.qint(3) / gen.qint(2))) == gen.qint(3) / gen.qint(2)
-    assert spec.parse(spec.render(spec.qint(3))) == spec.qint(3)
+    assert gen.parse(str(gen.qint(3) / gen.qint(2))) == gen.qint(3) / gen.qint(2)
+    assert spec.parse(str(spec.qint(3))) == spec.qint(3)
     for bad in (0, 1, -1):
         with pytest.raises(ValueError):
             ScalarField.at(bad)

@@ -478,3 +478,21 @@ def test_root_vector_word_check_raises(monkeypatch):
     monkeypatch.setattr(dualcheck, "xi_map", doubled_letter)
     with pytest.raises(RuntimeError, match=r"m=2, j=1.*\(1, 1\)"):
         root_vector_check(P((2, 1, 0)), 3, GEN)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
+@pytest.mark.parametrize("n,r", [(3, 4), (2, 5)])
+def test_maximal_basis_of_a_shape_is_the_filtered_basis(n, r, field):
+    full = maximal_basis(n, r, field)
+    for lam in partitions_in(n, r):
+        assert maximal_basis(n, r, field, lam) == [rec for rec in full if rec.weight == lam]
+    assert maximal_basis(n, r, field, P((r + 1,))) == []
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
+def test_verify_suite_is_the_concatenated_stages(field):
+    stages = list(dualcheck.verify_stages(3, 3, field))
+    assert [stage for stage, _ in stages] == [
+        "build", "maximality", "Gram", "norms", "counting", "quantum", "Hecke", "commuting"]
+    flat = [(c.name, c.ok, c.detail) for _, checks in stages for c in checks]
+    assert [(c.name, c.ok, c.detail) for c in verify_suite(3, 3, field).checks] == flat

@@ -3,8 +3,10 @@
 Each file in `tests/golden/` is the stdout of ``qtensor <args> --output json``
 captured before the integer-only rewrite of the coefficient layer (the
 `walks` files: before `Walk` and `enumerate_walks` were rewritten without
-dataclasses and recursion).  Any change to a coefficient's canonical form, to
-the walk order or to the rendering shows up here as a byte difference.
+dataclasses and recursion; the `verify` files: before the battery was split
+into `dualcheck.verify_stages`).  Any change to a coefficient's canonical
+form, to the walk order or to the rendering shows up here as a byte
+difference.
 """
 
 from pathlib import Path
@@ -23,6 +25,7 @@ SIZES = {
     "psi": "--n 3 --r 4 --shape 3,1",
     "invariants": "--n 3 --r 4",
     "walks": "--n 3 --r 4",
+    "verify": "--n 3 --r 4",
 }
 CASES = [f"{cmd} {size}" for cmd, size in SIZES.items()] + ["invariants --n 3 --r 3"]
 FIELDS = {"generic": "", "q0_3_2": " --q0 3/2"}

@@ -1,7 +1,8 @@
 """Smoke runs of the sweep scripts in `scripts/` at their smallest sizes.
 
 Each script runs as its own process against the same qtensor package the
-tests import, and must exit 0 with its success line.
+tests import, and must exit 0 with its success line; `stage_times.py` must
+also print one row per stage.
 """
 
 import os
@@ -12,6 +13,8 @@ from pathlib import Path
 import pytest
 
 import qtensor
+from qtensor.coeff import ScalarField
+from qtensor.dualcheck import verify_stages
 
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE_ROOT = str(Path(qtensor.__file__).resolve().parent.parent)
@@ -32,3 +35,7 @@ def test_script_smoke(script, args, expected):
     )
     assert proc.returncode == 0, proc.stderr
     assert expected in proc.stdout.splitlines()
+    if script == "stage_times.py":
+        rows = {line.split()[0] for line in proc.stdout.splitlines()[2:-1]}
+        stages = [stage for stage, _ in verify_stages(2, 3, ScalarField.generic())]
+        assert rows == {*stages, "Specht", "total"}
