@@ -55,12 +55,13 @@ def _parse_config(argv: list[str]) -> argparse.Namespace:
     """The parsed flags, with ``shape`` a validated `Partition` (or None) and
     ``field`` the one `ScalarField` of the run."""
     cfg = _build_parser().parse_args(argv)
-    text, cfg.shape = cfg.shape, None
-    if text:
+    if cfg.shape:
         try:
-            cfg.shape = Partition.from_string(text)
+            cfg.shape = Partition.from_string(cfg.shape)
         except ValueError as exc:
-            raise _UsageError(f"bad --shape value {text!r}: {exc}") from None
+            raise _UsageError(f"bad --shape value {cfg.shape!r}: {exc}") from None
+    else:
+        cfg.shape = None
     try:
         cfg.field = ScalarField.generic() if cfg.q0 is None else ScalarField.at(cfg.q0)
     except (ValueError, ZeroDivisionError) as exc:
