@@ -5,12 +5,16 @@ the recursion elements, run the verification battery, and emit norm, matrix,
 and decomposition reports.  Exit status: 0 on success, 1 when a verification
 assertion fails, 2 on usage errors, among them a --shape that is not a
 partition of --r into at most --n parts (for psi, which ignores --r: a
---shape with more than --n parts).
+--shape with more than --n parts), and any --shape given to verify, decompose
+or invariants, which run over every shape.
 
 Flag grammar::
 
     qtensor <command> --n <int> --r <int> [--shape a,b,c] [--q0 num[/den]]
             [--output text|json] [--out <path>]
+
+A negative --q0 may follow the flag as its own token (--q0 -2/5) or be
+attached to it (--q0=-2/5).
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ __all__ = ["run_cli", "export_json", "main"]
 
 COMMANDS = ("walks", "vectors", "psi", "verify", "norms", "specht", "decompose", "invariants")
 SHAPE_OF_DEGREE_R = ("walks", "vectors", "norms", "specht")
+ALL_SHAPES = ("verify", "decompose", "invariants")
 
 
 class _UsageError(Exception):
@@ -51,10 +56,24 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _attach_negative_q0(argv: list[str]) -> list[str]:
+    """``--q0 -2/5`` as ``--q0=-2/5``: argparse takes a token that starts
+    with "-" for a flag unless it reads as a plain negative number."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--q0" and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] = f"--q0={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def _parse_config(argv: list[str]) -> argparse.Namespace:
     """The parsed flags, with ``shape`` a validated `Partition` (or None) and
     ``field`` the one `ScalarField` of the run."""
-    cfg = _build_parser().parse_args(argv)
+    cfg = _build_parser().parse_args(_attach_negative_q0(argv))
+    if cfg.shape is not None and cfg.command in ALL_SHAPES:
+        raise _UsageError(f"{cfg.command} runs over every shape and takes no --shape")
     if cfg.shape:
         try:
             cfg.shape = Partition.from_string(cfg.shape)

@@ -661,6 +661,21 @@ def _specialized_q_power(num: int, den: int, e: int) -> Fraction:
     return Fraction(num, den) ** e
 
 
+@lru_cache(maxsize=64)
+def _integer_q_powers(a: int, b: int, r: int) -> tuple:
+    # q0 = a/b: q^e = a^(r+e) * b^(r-e) / (ab)^r for |e| <= r.
+    table = {e: a ** (r + e) * b ** (r - e) for e in range(-r, r + 1)}
+    return table.__getitem__, (a * b) ** r
+
+
+def _keep_coeffs(coeffs: dict) -> tuple:
+    return 1, coeffs
+
+
+def _numerator(x, d):
+    return x
+
+
 def _read_only(self, name, value=None):
     raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -711,6 +726,8 @@ class ScalarField:
         return RatFunc.from_int(c) if self.q0 is None else Fraction(c)
 
     def q_power(self, e: int):
+        if not e:
+            return self._one
         if self.q0 is None:
             return _generic_q_power(e)
         return _specialized_q_power(self.q0.numerator, self.q0.denominator, e)
@@ -729,6 +746,23 @@ class ScalarField:
             return _clear_ratfuncs(coeffs)
         D = lcm(*[c.denominator for c in coeffs.values()])
         return D, {k: c.numerator * (D // c.denominator) for k, c in coeffs.items()}
+
+    def numerator_ring(self, r: int) -> tuple:
+        """(clear, power, den, over): arithmetic on numerators, for vectors
+        whose q-power exponents stay within [-r, r].
+
+        ``clear(coeffs)`` gives (D, numerators) with coeffs[k] equal to
+        numerators[k] / D; q^e equals power(e) / den; and ``over(x, d)`` is
+        the field element x / d, for a ring element x and a product d of
+        such denominators.  At q0 = a/b the ring is the integers: ``clear`` is
+        `ScalarField.clear`, power(e) = a^(r+e) * b^(r-e), den = (ab)^r, and
+        ``over`` is `Fraction`.  On the generic field the ring is the field
+        itself, with D = den = 1 and power = ``q_power``: a `LaurentPoly`
+        numerator would pay a gcd for every term it reaches, while a field
+        element times a power of q pays none."""
+        if self.q0 is None:
+            return _keep_coeffs, self.q_power, 1, _numerator
+        return (self.clear, *_integer_q_powers(self.q0.numerator, self.q0.denominator, r), Fraction)
 
     def pair(self, u: tuple, v: tuple):
         """Sum over shared keys of the products of two cleared dicts (from

@@ -283,15 +283,13 @@ def decomposition_report(n: int, r: int, field: ScalarField) -> DecompositionRep
     rows = []
     for lam in partitions_in(n, r):
         records = maximal_basis(n, r, field, lam)
-        all_max = all(is_maximal(rec.vector) for rec in records) if records else True
-        gram_ok = gram_check(records).ok if records else True
         rows.append(ShapeRow(
             shape=lam,
             weyl_dim=weyl_dim(lam, n),
             f=count_standard(lam),
             walks=len(records),
-            all_maximal=all_max,
-            gram_diagonal=gram_ok,
+            all_maximal=all(is_maximal(rec.vector) for rec in records),
+            gram_diagonal=gram_check(records).ok,
         ))
     total = n**r
     identity_ok = (

@@ -18,7 +18,7 @@ from functools import lru_cache, reduce
 
 from .coeff import ScalarField, _read_only
 from .combinatorics import Partition, Walk, _entry, a_const, c_const, d_const
-from .tensorspace import TensorVector, apply_E, apply_F, lincomb, prepend, weight_of
+from .tensorspace import TensorVector, _lower, apply_E, apply_F, lincomb, weight_of
 
 __all__ = [
     "NegElement",
@@ -231,14 +231,37 @@ def phi(m: int, weight, b: TensorVector, shift: int = 0, validate: bool = False)
             want = tuple(weight.parts if isinstance(weight, Partition) else weight)
             if tuple(wt[: len(want)]) != want or any(x != 0 for x in wt[len(want):]):
                 raise ValueError(f"weight mismatch: vector has {wt}, caller said {want}")
-    minus_qinv = field.from_int(0) - field.q_power(-1)
-    one = coeff = field.one()
-    pairs = []
+    if m + shift > b.n:
+        raise ValueError(f"letter {m + shift} out of range 1..{b.n}")
+    # Cleared once: every word below acts on integer numerators at q0, a
+    # word's image is shared by all words ending in it, and the terms for
+    # different j start with different letters, so each output coefficient
+    # is one division.
+    clear, power, den, over = field.numerator_ring(max(b.r, m) - 1)
+    one = field.one()
+    D, nums = clear(b.coeffs)
+    images = {(): nums}
+
+    def image(word):
+        got = images.get(word)
+        if got is None:
+            got = images[word] = _lower(word[0], image(word[1:]), power, one)
+        return got
+
+    out = {}
     for j in range(m):
-        term = apply_neg(psi(j, weight, field, m - j - 1 + shift), b)
-        pairs.append((coeff, prepend(m - j + shift, term).coeffs))
-        coeff = coeff * minus_qinv
-    return TensorVector.zero(field, b.n, b.r + 1)._fresh(lincomb(pairs, one))
+        dj, cw = clear(psi(j, weight, field, m - j - 1 + shift).terms)
+        acc = lincomb(((c, image(w)) for w, c in cw.items()), one)
+        d = D * dj * den**j
+        if j:
+            # the factor (-q^-1)^j = (-1)^j power(-j) / den
+            s = power(-j) if j % 2 == 0 else -power(-j)
+            acc = {k: x * s for k, x in acc.items()}
+            d *= den
+        letter = (m - j + shift,)
+        for k, x in acc.items():
+            out[letter + k] = over(x, d)
+    return TensorVector.zero(field, b.n, b.r + 1)._fresh(out)
 
 
 class MaximalVectorRecord:

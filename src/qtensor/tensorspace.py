@@ -207,21 +207,31 @@ def apply_F(i: int, v: TensorVector) -> TensorVector:
     active slot contribute the power of q."""
     _check_ef_index(i, v.n)
     field = v.field
-    one = field.one()
+    return v._fresh(_lower(i, v.coeffs, field.q_power, field.one()))
+
+
+def _lower(i: int, coeffs: dict, power, one) -> dict:
+    """F_i on a coefficient dict, the one home of its exponent rule: the
+    image of slot s carries q^e with e = #(i+1) - #i over the slots right of
+    s, written as the multiplier ``power(e)``.  ``apply_F`` passes the
+    field's ``q_power``; ``psiphi.phi`` passes ring multipliers of cleared
+    numerators (``ScalarField.numerator_ring``).  ``one`` is as in
+    ``lincomb``."""
+    up = i + 1
     pairs = []
-    for idx, c in v.coeffs.items():
-        # suffix[s] = (#i) - (#(i+1)) among positions > s
-        suffix = [0] * (len(idx) + 1)
-        for s in range(len(idx) - 1, -1, -1):
-            delta = 1 if idx[s] == i else (-1 if idx[s] == i + 1 else 0)
-            suffix[s] = suffix[s + 1] + delta
+    for idx, c in coeffs.items():
+        if i not in idx:
+            continue
+        e = idx.count(up) - idx.count(i)  # over all slots; each slot passed drops its share
         image = {}
         for s, letter in enumerate(idx):
             if letter == i:
-                e = -suffix[s + 1]
-                image[idx[:s] + (i + 1,) + idx[s + 1:]] = field.q_power(e) if e else one
+                e += 1
+                image[idx[:s] + (up,) + idx[s + 1:]] = power(e)
+            elif letter == up:
+                e -= 1
         pairs.append((c, image))
-    return v._fresh(lincomb(pairs, one))
+    return lincomb(pairs, one)
 
 
 def apply_K(j: int, v: TensorVector, inverse: bool = False) -> TensorVector:

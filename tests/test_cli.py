@@ -138,6 +138,32 @@ def test_psi_shape_with_too_many_parts_is_usage_error(capsys):
     assert "--shape 1,1,1,1 has more than --n 3 parts" in err
 
 
+@pytest.mark.parametrize("argv", [
+    "verify --n 2 --r 2 --shape 5",
+    "decompose --n 2 --r 2 --shape 2",
+    "invariants --n 2 --r 2 --shape 7",
+])
+def test_shape_for_every_shape_command_is_usage_error(argv, capsys):
+    status, out, err = run(argv.split(), capsys)
+    assert status == 2 and out == ""
+    assert "takes no --shape" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["vectors", "specht"])
+def test_negative_q0_as_its_own_token(command, capsys):
+    base = [command, "--n", "3", "--r", "3", "--output", "json"]
+    status, attached, _ = run(base + ["--q0=-2/5"], capsys)
+    assert status == 0
+    status, separate, _ = run(base + ["--q0", "-2/5"], capsys)
+    assert status == 0 and separate == attached and json.loads(attached)
+
+
+def test_malformed_q0_is_still_a_usage_error(capsys):
+    for q0 in ("x/y", "-x/y"):
+        status, out, err = run(["vectors", "--n", "2", "--r", "2", "--q0", q0], capsys)
+        assert status == 2 and out == "" and "q0" in err
+
+
 def test_unwritable_out_path(tmp_path, capsys):
     missing = str(tmp_path / "missing" / "x")
     for output in ("text", "json"):

@@ -4,9 +4,12 @@ Each file in `tests/golden/` is the stdout of ``qtensor <args> --output json``
 captured before the integer-only rewrite of the coefficient layer (the
 `walks` files: before `Walk` and `enumerate_walks` were rewritten without
 dataclasses and recursion; the `verify` files: before the battery was split
-into `dualcheck.verify_stages`).  Any change to a coefficient's canonical
-form, to the walk order or to the rendering shows up here as a byte
-difference.
+into `dualcheck.verify_stages`; the `vectors` and `specht` files at q0 = 2
+and q0 = -2/5: before `phi` moved onto cleared integer numerators).  Any
+change to a coefficient's canonical form, to the walk order or to the
+rendering shows up here as a byte difference.  The extra points exercise
+the integer q-power multipliers where 3/2 does not: q0 = 2 has denominator
+1, and -2/5 is negative with |q0| < 1.
 """
 
 from pathlib import Path
@@ -29,6 +32,8 @@ SIZES = {
 }
 CASES = [f"{cmd} {size}" for cmd, size in SIZES.items()] + ["invariants --n 3 --r 3"]
 FIELDS = {"generic": "", "q0_3_2": " --q0 3/2"}
+EXTRA_POINTS = {"q0_2": " --q0=2", "q0_m2_5": " --q0=-2/5"}
+EXTRA_CASES = [f"{cmd} {SIZES[cmd]}" for cmd in ("vectors", "specht")]
 
 
 def golden_path(case: str, field: str) -> Path:
@@ -40,5 +45,13 @@ def golden_path(case: str, field: str) -> Path:
 @pytest.mark.parametrize("case", CASES)
 def test_cli_json_matches_golden(case, field, capsys):
     argv = (case + FIELDS[field]).split() + ["--output", "json"]
+    assert cli.run_cli(argv) == 0
+    assert capsys.readouterr().out == golden_path(case, field).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("field", sorted(EXTRA_POINTS))
+@pytest.mark.parametrize("case", EXTRA_CASES)
+def test_cli_json_matches_golden_at_extra_points(case, field, capsys):
+    argv = (case + EXTRA_POINTS[field]).split() + ["--output", "json"]
     assert cli.run_cli(argv) == 0
     assert capsys.readouterr().out == golden_path(case, field).read_text(encoding="utf-8")

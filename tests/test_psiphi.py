@@ -1,11 +1,12 @@
 import itertools
 from collections import deque
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtensor.coeff import ScalarField
+from qtensor.coeff import ScalarField, specialize
 from qtensor.combinatorics import (
     Partition,
     Walk,
@@ -14,6 +15,7 @@ from qtensor.combinatorics import (
     d_const,
     enumerate_walks,
 )
+from qtensor.dualcheck import maximal_basis
 from qtensor.psiphi import (
     AddabilityError,
     NegElement,
@@ -28,7 +30,7 @@ from qtensor.psiphi import (
     psi,
     xi_map,
 )
-from qtensor.tensorspace import TensorVector, apply_E, bilinear, prepend, weight_of
+from qtensor.tensorspace import TensorVector, apply_E, bilinear, lincomb, prepend, weight_of
 
 GEN = ScalarField.generic()
 P = Partition
@@ -189,6 +191,66 @@ def test_phi_validate_flag():
         phi(1, (1, 1), b, validate=True)
     good = build_c_pi(Walk((1, 2)), GEN, 2)
     assert phi(1, good.weight, good.vector, validate=True).r == 3
+
+
+def _phi_oracle(m, weight, b, shift=0):
+    """phi summed in the field: every psi element applied word by word with
+    ``apply_neg``, the terms for each j prepended and added with ``lincomb``."""
+    field = b.field
+    minus_qinv = field.from_int(0) - field.q_power(-1)
+    one = coeff = field.one()
+    pairs = []
+    for j in range(m):
+        term = apply_neg(psi(j, weight, field, m - j - 1 + shift), b)
+        pairs.append((coeff, prepend(m - j + shift, term).coeffs))
+        coeff = coeff * minus_qinv
+    return TensorVector.zero(field, b.n, b.r + 1)._fresh(lincomb(pairs, one))
+
+
+ORACLE_FIELDS = [GEN] + [ScalarField.at(Fraction(q)) for q in ("2", "3/2", "-2/5", "1/3")]
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: str(f.q0))
+@pytest.mark.parametrize("n, r", [(3, 5), (4, 5)])
+def test_phi_matches_field_valued_oracle(n, r, field):
+    # every walk step once (each distinct walk prefix), plain and shifted
+    kind = type(field.one())
+    built = {(): (Partition(), TensorVector.unit(field, n))}
+    for walk in enumerate_walks(n, r):
+        for k in range(1, r + 1):
+            prefix = walk.rows[:k]
+            if prefix in built:
+                continue
+            lam, b = built[prefix[:-1]]
+            m = prefix[-1]
+            got = phi(m, lam, b)
+            assert got == _phi_oracle(m, lam, b), prefix
+            assert all(type(c) is kind for c in got.coeffs.values()), prefix
+            if m >= 2:
+                assert phi(m - 1, lam, b, shift=1) == _phi_oracle(m - 1, lam, b, shift=1), prefix
+            built[prefix] = (lam.add_box(m), got)
+
+
+@lru_cache(maxsize=None)
+def _generic_basis(n, r):
+    return maximal_basis(n, r, GEN)
+
+
+admissible_q0 = st.builds(
+    Fraction, st.integers(min_value=-12, max_value=12), st.integers(min_value=1, max_value=12),
+).filter(lambda q: q not in (0, 1, -1))
+
+
+@given(q0=admissible_q0, size=st.sampled_from([(3, 4), (4, 4), (2, 6)]))
+@settings(max_examples=40, deadline=None)
+def test_specialized_basis_is_generic_basis_specialized(q0, size):
+    field = ScalarField.at(q0)
+    got = maximal_basis(*size, field)
+    want = _generic_basis(*size)
+    assert [rec.walk for rec in got] == [rec.walk for rec in want]
+    for g, w in zip(got, want):
+        values = {k: specialize(c, q0) for k, c in w.vector.coeffs.items()}
+        assert g.vector.coeffs == {k: c for k, c in values.items() if c}, (q0, g.walk)
 
 
 def test_phi_recursion_consistency():
