@@ -13,8 +13,9 @@ Flag grammar::
     qtensor <command> --n <int> --r <int> [--shape a,b,c] [--q0 num[/den]]
             [--output text|json] [--out <path>]
 
-A negative --q0 may follow the flag as its own token (--q0 -2/5) or be
-attached to it (--q0=-2/5).
+Flags are spelled in full: an abbreviation such as --q for --q0 is a usage
+error.  A negative --q0 may follow the flag as its own token (--q0 -2/5) or
+be attached to it (--q0=-2/5).
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="qtensor", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="qtensor", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter,
+                     allow_abbrev=False)
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--n", type=int, required=True, help="alphabet size")
     parser.add_argument("--r", type=int, default=0, help="tensor degree")

@@ -32,17 +32,17 @@ other two suites, as ``verify_suite`` runs them.  Each generator's image of
 each basis vector is computed once by the tensor action itself (looked up in
 this module when the suite runs, so a replaced action is the one checked)
 and kept in a table shared by the three suites of one ``verify_stages`` run.
-A word's image on a basis vector is the image of its suffix pushed through
-one more table by ``tensorspace.lincomb``, the package's one sparse linear
-combination, and is memoised per basis vector so that words sharing a
-suffix share its image.  The relations' right-hand sides, the Specht
-residuals and the rank elimination of the root-vector check are sums
-through the same function.
+Words are applied by ``tensorspace._word_images``, the package's one word
+recursion: a word's image on a basis vector is its suffix's image pushed
+through the head's table, memoised per basis vector.  The relations'
+right-hand sides, the Specht residuals and the rank elimination of the
+root-vector check are sums through ``tensorspace.lincomb``.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import partial
 
 from .coeff import ScalarField
 from .combinatorics import (
@@ -58,6 +58,8 @@ from .combinatorics import (
 from .psiphi import MaximalVectorRecord, apply_neg, build_c_pi, is_maximal, xi_map
 from .tensorspace import (
     TensorVector,
+    _act,
+    _word_images,
     apply_E,
     apply_F,
     apply_K,
@@ -419,9 +421,9 @@ class _Words:
     mostly powers of q), and so do equal index tuples, which keeps the tables
     of a whole battery small; a coefficient equal to one is ``self.one``, so
     composing skips those products.  ``words(g1, ..., gk)`` is g1(...gk(v))
-    for the current basis vector v: the image of the suffix, pushed through
-    the head's table.  Word images are memoised until ``start`` moves on to
-    the next basis vector, so words that share a suffix share its image.
+    for the current basis vector v, memoised by suffix until ``start`` moves
+    on to the next basis vector; a single generator's image is its table
+    entry.
     """
 
     def __init__(self, field: ScalarField, n: int):
@@ -430,14 +432,19 @@ class _Words:
         self.one = field.one()
         self.shared = {self.one: self.one}
         self.tables: dict[tuple, dict] = {}
-        self.memo: dict[tuple, dict] = {}
-        self.idx: tuple[int, ...] = ()
 
     def start(self, idx: tuple[int, ...]) -> dict:
         """Move on to the basis vector of ``idx``; returns its coefficients."""
-        self.idx = idx
-        self.memo = {}
-        return {idx: self.one}
+        v = {idx: self.one}
+        one, basis_image = self.one, self._basis_image
+
+        def step(gen, coeffs):
+            if coeffs is v:
+                return basis_image(gen, idx)
+            return _act(coeffs, partial(basis_image, gen), one)
+
+        self._image = _word_images(v, step)
+        return v
 
     def _basis_image(self, gen: tuple, idx: tuple[int, ...]) -> dict:
         table = self.tables.get(gen)
@@ -453,16 +460,7 @@ class _Words:
         return image
 
     def __call__(self, *word: tuple) -> dict:
-        image = self.memo.get(word)
-        if image is None:
-            head, tail = word[0], word[1:]
-            if tail:
-                image = lincomb(((c, self._basis_image(head, idx)) for idx, c in self(*tail).items()),
-                                self.one)
-            else:
-                image = self._basis_image(head, self.idx)
-            self.memo[word] = image
-        return image
+        return self._image(word)
 
 
 def check_quantum_relations(n: int, r: int, field: ScalarField, *,

@@ -14,11 +14,11 @@ equality of elements a structural comparison.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .coeff import ScalarField, _read_only
 from .combinatorics import Partition, Walk, _entry, a_const, c_const, d_const
-from .tensorspace import TensorVector, _lower, apply_E, apply_F, lincomb, weight_of
+from .tensorspace import TensorVector, _lower, _word_images, apply_E, lincomb, weight_of
 
 __all__ = [
     "NegElement",
@@ -198,12 +198,13 @@ def _psi_cached(j: int, shift: int, window: tuple[int, ...], field: ScalarField)
 
 def apply_neg(e: NegElement, v: TensorVector) -> TensorVector:
     """Realize an element as an operator: each word acts letter by letter,
-    rightmost letter first."""
+    rightmost letter first, and words that share a suffix share its image."""
     if e.max_letter() > v.n - 1:
         raise ValueError(f"element uses generator {e.max_letter()}, ambient has {v.n - 1}")
-    pairs = [(c, reduce(lambda vec, i: apply_F(i, vec), reversed(word), v).coeffs)
-             for word, c in e.terms.items()]
-    return v._fresh(lincomb(pairs, v.field.one()))
+    field = v.field
+    one = field.one()
+    image = _word_images(v.coeffs, lambda i, coeffs: _lower(i, coeffs, field.q_power, one))
+    return v._fresh(lincomb(((c, image(word)) for word, c in e.terms.items()), one))
 
 
 # -- box-adding operators --------------------------------------------------------
@@ -240,14 +241,7 @@ def phi(m: int, weight, b: TensorVector, shift: int = 0, validate: bool = False)
     clear, power, den, over = field.numerator_ring(max(b.r, m) - 1)
     one = field.one()
     D, nums = clear(b.coeffs)
-    images = {(): nums}
-
-    def image(word):
-        got = images.get(word)
-        if got is None:
-            got = images[word] = _lower(word[0], image(word[1:]), power, one)
-        return got
-
+    image = _word_images(nums, lambda i, coeffs: _lower(i, coeffs, power, one))
     out = {}
     for j in range(m):
         dj, cw = clear(psi(j, weight, field, m - j - 1 + shift).terms)
@@ -365,16 +359,12 @@ def jimbo_pivot_agreement(n: int, field: ScalarField) -> bool:
     def variants(lo: int, hi: int, raising: bool) -> list[NegElement]:
         if hi - lo == 1:
             return [NegElement.generator(field, lo)]
-        out: dict = {}
+        out = set()
         for k in range(lo + 1, hi):
             for left in variants(lo, k, raising):
                 for right in variants(k, hi, raising):
-                    if raising:
-                        val = left * right - (right * left).scale(q)
-                    else:
-                        val = left * right - (right * left).scale(qinv)
-                    out[hash(val)] = val
-        return list(out.values())
+                    out.add(left * right - (right * left).scale(q if raising else qinv))
+        return list(out)
 
     for span in range(2, n):
         for lo in range(1, n - span + 1):

@@ -4,9 +4,10 @@ generator action, weight extraction, and the standard bilinear form, which
 pairs cleared numerators (one common denominator per operand) and divides
 once.
 
-Sparse accumulation lives in one place, ``lincomb``: vector sums, the E, F
-and T actions, the lowering elements of ``psiphi`` and the relation suites of
-``dualcheck`` all sum scaled coefficient dicts through it.
+Sparse accumulation lives in one place, ``lincomb``.  Every action is a rule
+for one basis index that ``_act`` extends linearly through it, and every word
+of actions in the package is applied by ``_word_images``, which memoises the
+image of each suffix.
 
 Basis vectors are indexed by tuples a in {1..n}^r; the single-factor rules
 are F_i: v_i -> v_{i+1}, E_i: v_{i+1} -> v_i (all else to zero), with the
@@ -32,7 +33,6 @@ __all__ = [
     "weight_of",
     "apply_T",
     "bilinear",
-    "prepend",
     "vector_to_json_dict",
     "vector_from_json_dict",
     "vector_to_json",
@@ -176,9 +176,57 @@ class TensorVector:
 # -- generator actions ---------------------------------------------------------
 
 
+def _act(coeffs: dict, rule, one) -> dict:
+    """Sum of c * rule(idx) over the terms (idx, c) of ``coeffs``, where
+    ``rule(idx)`` is the image dict of the basis vector idx; ``one`` is as in
+    ``lincomb``."""
+    return lincomb(((c, rule(idx)) for idx, c in coeffs.items()), one)
+
+
+def _word_images(start, step):
+    """Images of words under a monoid action, memoised by suffix: the image
+    of the empty word is ``start``, and the image of a word is
+    ``step(head, image of the rest)``, so words that share a suffix share
+    its image.  Returns the function from a word (a tuple) to its image."""
+    memo = {(): start}
+
+    def image(word):
+        k = 0  # the longest memoised suffix is word[k:]
+        while (got := memo.get(word[k:])) is None:
+            k += 1
+        for t in range(k - 1, -1, -1):
+            got = memo[word[t:]] = step(word[t], got)
+        return got
+
+    return image
+
+
 def _check_ef_index(i: int, n: int):
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range 1..{n - 1}")
+
+
+def _coproduct(src: int, dst: int, power, from_right: bool):
+    """Basis rule of E_i (src i+1, dst i, scanned from the left) and F_i
+    (src i, dst i+1, from the right) via the iterated coproduct: each slot
+    holding src in turn becomes dst, times power(e) for q^e, where e = #dst -
+    #src over the slots already passed, which carry the coroot grouplike."""
+
+    def rule(idx):
+        if src not in idx:
+            return {}
+        image = {}
+        e = 0
+        for s in range(len(idx) - 1, -1, -1) if from_right else range(len(idx)):
+            letter = idx[s]
+            if letter == src:
+                image[idx[:s] + (dst,) + idx[s + 1:]] = power(e)
+                e -= 1
+            elif letter == dst:
+                e += 1
+        return image
+
+    return rule
 
 
 def apply_E(i: int, v: TensorVector) -> TensorVector:
@@ -186,20 +234,7 @@ def apply_E(i: int, v: TensorVector) -> TensorVector:
     left of the active slot contribute a power of q."""
     _check_ef_index(i, v.n)
     field = v.field
-    one = field.one()
-    pairs = []
-    for idx, c in v.coeffs.items():
-        image = {}
-        tk = 0  # exponent from grouplike factors left of the active slot
-        for s, letter in enumerate(idx):
-            if letter == i + 1:
-                image[idx[:s] + (i,) + idx[s + 1:]] = field.q_power(tk) if tk else one
-            if letter == i:
-                tk += 1
-            elif letter == i + 1:
-                tk -= 1
-        pairs.append((c, image))
-    return v._fresh(lincomb(pairs, one))
+    return v._fresh(_act(v.coeffs, _coproduct(i + 1, i, field.q_power, False), field.one()))
 
 
 def apply_F(i: int, v: TensorVector) -> TensorVector:
@@ -211,27 +246,19 @@ def apply_F(i: int, v: TensorVector) -> TensorVector:
 
 
 def _lower(i: int, coeffs: dict, power, one) -> dict:
-    """F_i on a coefficient dict, the one home of its exponent rule: the
-    image of slot s carries q^e with e = #(i+1) - #i over the slots right of
-    s, written as the multiplier ``power(e)``.  ``apply_F`` passes the
-    field's ``q_power``; ``psiphi.phi`` passes ring multipliers of cleared
-    numerators (``ScalarField.numerator_ring``).  ``one`` is as in
-    ``lincomb``."""
-    up = i + 1
-    pairs = []
-    for idx, c in coeffs.items():
-        if i not in idx:
-            continue
-        e = idx.count(up) - idx.count(i)  # over all slots; each slot passed drops its share
-        image = {}
-        for s, letter in enumerate(idx):
-            if letter == i:
-                e += 1
-                image[idx[:s] + (up,) + idx[s + 1:]] = power(e)
-            elif letter == up:
-                e -= 1
-        pairs.append((c, image))
-    return lincomb(pairs, one)
+    """F_i on a coefficient dict, with q^e written as the multiplier
+    ``power(e)``.  ``apply_F`` passes the field's ``q_power``; ``psiphi``
+    passes ring multipliers of cleared numerators
+    (``ScalarField.numerator_ring``).  ``one`` is as in ``lincomb``."""
+    return _act(coeffs, _coproduct(i, i + 1, power, True), one)
+
+
+def _grouplike(v: TensorVector, exponent) -> TensorVector:
+    """The diagonal generator that scales each basis vector v_idx by
+    q^exponent(idx)."""
+    field = v.field
+    power = field.q_power
+    return v._fresh(_act(v.coeffs, lambda idx: {idx: power(exponent(idx))}, field.one()))
 
 
 def apply_K(j: int, v: TensorVector, inverse: bool = False) -> TensorVector:
@@ -239,24 +266,14 @@ def apply_K(j: int, v: TensorVector, inverse: bool = False) -> TensorVector:
     if not 1 <= j <= v.n:
         raise ValueError(f"generator index {j} out of range 1..{v.n}")
     sign = -1 if inverse else 1
-    field = v.field
-    out = {}
-    for idx, c in v.coeffs.items():
-        e = sign * sum(1 for a in idx if a == j)
-        out[idx] = c * field.q_power(e) if e else c
-    return v._fresh(out)
+    return _grouplike(v, lambda idx: sign * idx.count(j))
 
 
 def apply_tK(i: int, v: TensorVector, inverse: bool = False) -> TensorVector:
     """Diagonal coroot grouplike: q to the content difference at i, i+1."""
     _check_ef_index(i, v.n)
     sign = -1 if inverse else 1
-    field = v.field
-    out = {}
-    for idx, c in v.coeffs.items():
-        e = sign * (sum(1 for a in idx if a == i) - sum(1 for a in idx if a == i + 1))
-        out[idx] = c * field.q_power(e) if e else c
-    return v._fresh(out)
+    return _grouplike(v, lambda idx: sign * (idx.count(i) - idx.count(i + 1)))
 
 
 def weight_of(v: TensorVector) -> tuple[int, ...]:
@@ -289,17 +306,17 @@ def apply_T(i: int, v: TensorVector) -> TensorVector:
     one = field.one()
     q = field.q_power(1)
     qdiff = q - field.q_power(-1)
-    pairs = []
-    for idx, c in v.coeffs.items():
+
+    def rule(idx):
         a, b = idx[i - 1], idx[i]
         if a == b:
-            image = {idx: q}
-        else:
-            image = {idx[: i - 1] + (b, a) + idx[i + 1:]: one}
-            if a < b:
-                image[idx] = qdiff
-        pairs.append((c, image))
-    return v._fresh(lincomb(pairs, one))
+            return {idx: q}
+        image = {idx[: i - 1] + (b, a) + idx[i + 1:]: one}
+        if a < b:
+            image[idx] = qdiff
+        return image
+
+    return v._fresh(_act(v.coeffs, rule, one))
 
 
 # -- bilinear form ---------------------------------------------------------------
@@ -313,19 +330,6 @@ def bilinear(u: TensorVector, v: TensorVector):
     field = u.field
     cu = field.clear(u.coeffs)
     return field.pair(cu, cu if v is u else field.clear(v.coeffs))
-
-
-def prepend(letter: int, v: TensorVector) -> TensorVector:
-    """Tensor a basis letter onto the left, raising the degree by one."""
-    if not 1 <= letter <= v.n:
-        raise ValueError(f"letter {letter} out of range 1..{v.n}")
-    out = {(letter,) + idx: c for idx, c in v.coeffs.items()}
-    w = TensorVector.__new__(TensorVector)
-    w.field = v.field
-    w.n = v.n
-    w.r = v.r + 1
-    w.coeffs = out
-    return w
 
 
 # -- serialization ----------------------------------------------------------------

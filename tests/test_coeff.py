@@ -148,12 +148,13 @@ def test_normalize_round_trip(a, b):
 def test_field_arithmetic_against_sympy(a, b, c, d):
     x = RatFunc(a, b)
     y = RatFunc(c, d)
-    sx = to_sympy(a) / to_sympy(b)
-    sy = to_sympy(c) / to_sympy(d)
+    sa, sb, sc, sd = map(to_sympy, (a, b, c, d))
     total = x + y
     prod = x * y
-    assert sympy.simplify(to_sympy(total.num) / to_sympy(total.den) - (sx + sy)) == 0
-    assert sympy.simplify(to_sympy(prod.num) / to_sympy(prod.den) - sx * sy) == 0
+    # num/den == a/b + c/d and num/den == (a/b)(c/d), cross-multiplied: exact,
+    # since every denominator is nonzero
+    assert sympy.expand(to_sympy(total.num) * sb * sd - to_sympy(total.den) * (sa * sd + sc * sb)) == 0
+    assert sympy.expand(to_sympy(prod.num) * sb * sd - to_sympy(prod.den) * sa * sc) == 0
 
 
 @given(a=laurent_polys(), b=laurent_polys(), q0=st.sampled_from([Fraction(2), Fraction(3, 2), Fraction(-5), Fraction(-2, 7)]))

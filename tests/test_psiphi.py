@@ -1,11 +1,12 @@
 import itertools
 from collections import deque
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qtensor import psiphi
 from qtensor.coeff import ScalarField, specialize
 from qtensor.combinatorics import (
     Partition,
@@ -30,7 +31,7 @@ from qtensor.psiphi import (
     psi,
     xi_map,
 )
-from qtensor.tensorspace import TensorVector, apply_E, bilinear, lincomb, prepend, weight_of
+from qtensor.tensorspace import TensorVector, apply_E, apply_F, bilinear, lincomb, weight_of
 
 GEN = ScalarField.generic()
 P = Partition
@@ -194,15 +195,18 @@ def test_phi_validate_flag():
 
 
 def _phi_oracle(m, weight, b, shift=0):
-    """phi summed in the field: every psi element applied word by word with
-    ``apply_neg``, the terms for each j prepended and added with ``lincomb``."""
+    """phi summed in the field: every word of every psi element applied
+    letter by letter with ``apply_F``, rightmost letter first, the terms for
+    each j given their new left factor and added with ``lincomb``."""
     field = b.field
     minus_qinv = field.from_int(0) - field.q_power(-1)
     one = coeff = field.one()
     pairs = []
     for j in range(m):
-        term = apply_neg(psi(j, weight, field, m - j - 1 + shift), b)
-        pairs.append((coeff, prepend(m - j + shift, term).coeffs))
+        letter = (m - j + shift,)
+        for word, c in psi(j, weight, field, m - j - 1 + shift).terms.items():
+            term = reduce(lambda vec, i: apply_F(i, vec), reversed(word), b)
+            pairs.append((c * coeff, {letter + idx: x for idx, x in term.coeffs.items()}))
         coeff = coeff * minus_qinv
     return TensorVector.zero(field, b.n, b.r + 1)._fresh(lincomb(pairs, one))
 
@@ -264,7 +268,9 @@ def test_phi_recursion_consistency():
             if m >= 2 and lam.row(m - 1) - lam.row(m) == 0:
                 continue
             lhs = phi(m, lam, b)
-            tail = prepend(1, apply_neg(psi(m - 1, lam, GEN), b)).scale(minus_qinv ** (m - 1))
+            image = apply_neg(psi(m - 1, lam, GEN), b)
+            tail = TensorVector(GEN, b.n, b.r + 1, {(1,) + idx: c for idx, c in image.coeffs.items()})
+            tail = tail.scale(minus_qinv ** (m - 1))
             rhs = phi(m - 1, lam, b, shift=1) + tail
             assert lhs == rhs, (walk, m)
 
@@ -380,6 +386,15 @@ def test_jimbo_pivot_agreement():
     # exhaustive pivot comparison; the recursion is pivot-independent here
     for n in (3, 4, 5):
         assert jimbo_pivot_agreement(n, GEN)
+
+
+def test_jimbo_pivot_agreement_sees_past_hash_collisions(monkeypatch):
+    # without canonical words the pivots give different elements; equal
+    # hashes must not merge them into one
+    monkeypatch.setattr(psiphi, "canonical_word", tuple)
+    assert not jimbo_pivot_agreement(4, GEN)
+    monkeypatch.setattr(NegElement, "__hash__", lambda self: 0)
+    assert not jimbo_pivot_agreement(4, GEN)
 
 
 def test_neg_element_algebra():

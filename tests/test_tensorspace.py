@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,7 @@ from qtensor.dualcheck import (
     check_hecke_relations,
     check_quantum_relations,
 )
-from qtensor.psiphi import build_c_pi
+from qtensor.psiphi import NegElement, apply_neg, build_c_pi, jimbo_root_vectors
 from qtensor.combinatorics import Walk, enumerate_walks
 from qtensor.tensorspace import (
     MixedWeightError,
@@ -23,7 +24,6 @@ from qtensor.tensorspace import (
     apply_tK,
     bilinear,
     lincomb,
-    prepend,
     weight_of,
 )
 
@@ -72,6 +72,15 @@ def test_hecke_three_cases():
         apply_T(2, basis((1, 1)))
 
 
+def _accumulate(out, idx, c):
+    cur = out.get(idx)
+    cur = c if cur is None else cur + c
+    if cur:
+        out[idx] = cur
+    else:
+        out.pop(idx, None)
+
+
 def apply_T_factored(i: int, v: TensorVector) -> TensorVector:
     """The transposition action through the identity-padded two-site
     operator: an independent oracle for apply_T."""
@@ -81,25 +90,55 @@ def apply_T_factored(i: int, v: TensorVector) -> TensorVector:
     q = field.q_power(1)
     qdiff = field.q_power(1) - field.q_power(-1)
     out = {}
-
-    def acc(idx, c):
-        cur = out.get(idx)
-        cur = c if cur is None else cur + c
-        if cur:
-            out[idx] = cur
-        else:
-            out.pop(idx, None)
-
     for idx, c in v.coeffs.items():
         head, (s, t), tail = idx[: i - 1], idx[i - 1: i + 1], idx[i + 1:]
         if s == t:
-            acc(head + (s, t) + tail, c * q)
+            _accumulate(out, head + (s, t) + tail, c * q)
         elif s < t:
-            acc(head + (s, t) + tail, c * qdiff)
-            acc(head + (t, s) + tail, c)
+            _accumulate(out, head + (s, t) + tail, c * qdiff)
+            _accumulate(out, head + (t, s) + tail, c)
         else:
-            acc(head + (t, s) + tail, c)
+            _accumulate(out, head + (t, s) + tail, c)
     return TensorVector(field, v.n, v.r, out)
+
+
+def apply_coproduct_factored(raising: bool, i: int, v: TensorVector) -> TensorVector:
+    """E_i (``raising``) or F_i through the factorised iterated coproduct:
+    the sum over slots s of the one-site generator on slot s, the coroot
+    grouplike K~_i on every slot left of s (for E) or its inverse on every
+    slot right of s (for F), and the identity elsewhere.  An independent
+    oracle for apply_E and apply_F."""
+    field = v.field
+    src, dst = (i + 1, i) if raising else (i, i + 1)
+    out = {}
+    for idx, c in v.coeffs.items():
+        for s, a in enumerate(idx):
+            if a != src:
+                continue
+            if raising:
+                e = sum((b == i) - (b == i + 1) for b in idx[:s])
+            else:
+                e = -sum((b == i) - (b == i + 1) for b in idx[s + 1:])
+            _accumulate(out, idx[:s] + (dst,) + idx[s + 1:], c * field.q_power(e))
+    return TensorVector(field, v.n, v.r, out)
+
+
+def apply_neg_letterwise(e: NegElement, v: TensorVector) -> TensorVector:
+    """Oracle for apply_neg: each word applied letter by letter with
+    apply_F, rightmost letter first, and the word images summed."""
+    pairs = [(c, reduce(lambda vec, i: apply_F(i, vec), reversed(word), v).coeffs)
+             for word, c in e.terms.items()]
+    return v._fresh(lincomb(pairs, v.field.one()))
+
+
+def lowering_elements(field, n):
+    """Every word of length <= 3 in F_1..F_{n-1} as an element, their sum
+    with distinct powers of q as coefficients (words that share suffixes),
+    and the recursive lowering root vectors."""
+    words = [w for k in range(4) for w in itertools.product(range(1, n), repeat=k)]
+    singles = [NegElement(field, {w: field.one()}) for w in words]
+    mixed = NegElement(field, {w: field.q_power(k - 3) for k, w in enumerate(words)})
+    return singles + [mixed] + list(jimbo_root_vectors(n, field)[1].values())
 
 
 def test_hecke_factored_cross_check():
@@ -108,6 +147,19 @@ def test_hecke_factored_cross_check():
             v = TensorVector.basis(field, 3, idx)
             for i in (1, 2, 3):
                 assert apply_T(i, v) == apply_T_factored(i, v)
+
+
+@pytest.mark.parametrize("n, r", [(3, 3), (2, 4)])
+def test_coproduct_and_words_against_oracles(n, r):
+    for field in FIELDS:
+        elements = lowering_elements(field, n)
+        for idx in itertools.product(range(1, n + 1), repeat=r):
+            v = TensorVector.basis(field, n, idx)
+            for i in range(1, n):
+                assert apply_E(i, v) == apply_coproduct_factored(True, i, v), (i, idx)
+                assert apply_F(i, v) == apply_coproduct_factored(False, i, v), (i, idx)
+            for el in elements:
+                assert apply_neg(el, v) == apply_neg_letterwise(el, v), (el, idx)
 
 
 @st.composite
@@ -131,6 +183,16 @@ def multi_term_vectors(draw):
 def test_hecke_factored_cross_check_multi_term(v, data):
     i = data.draw(st.integers(min_value=1, max_value=v.r - 1))
     assert apply_T(i, v) == apply_T_factored(i, v)
+
+
+@given(v=multi_term_vectors(), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_coproduct_and_words_against_oracles_multi_term(v, data):
+    i = data.draw(st.integers(min_value=1, max_value=v.n - 1))
+    assert apply_E(i, v) == apply_coproduct_factored(True, i, v)
+    assert apply_F(i, v) == apply_coproduct_factored(False, i, v)
+    el = data.draw(st.sampled_from(lowering_elements(v.field, v.n)))
+    assert apply_neg(el, v) == apply_neg_letterwise(el, v)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
@@ -220,13 +282,6 @@ def test_zero_results_keep_shape():
     z = apply_E(1, basis((1, 1)))
     assert z.is_zero and z.n == 2 and z.r == 2
     assert z == TensorVector.zero(GEN, 2, 2)
-
-
-def test_prepend():
-    v = prepend(3, TensorVector.basis(GEN, 3, (1, 2)))
-    assert v == TensorVector.basis(GEN, 3, (3, 1, 2))
-    with pytest.raises(ValueError):
-        prepend(4, TensorVector.basis(GEN, 3, (1,)))
 
 
 @pytest.mark.parametrize("n,r", [(2, 3), (3, 2)])
