@@ -42,7 +42,6 @@ root-vector check are sums through ``tensorspace.lincomb``.
 from __future__ import annotations
 
 import itertools
-from functools import partial
 
 from .coeff import ScalarField
 from .combinatorics import (
@@ -411,6 +410,24 @@ def _apply_K_inverse(i: int, v: TensorVector) -> TensorVector:
     return apply_K(i, v, inverse=True)
 
 
+class _Table(dict):
+    """One generator's images of the index basis vectors, filled on lookup."""
+
+    def __init__(self, words: _Words, gen: tuple):
+        super().__init__()
+        self.words = words
+        self.gen = gen
+
+    def __missing__(self, idx: tuple[int, ...]) -> dict:
+        action, i = self.gen
+        words = self.words
+        shared = words.shared
+        image = self[shared.setdefault(idx, idx)] = {
+            shared.setdefault(k, k): shared.setdefault(c, c)
+            for k, c in action(i, TensorVector.basis(words.field, words.n, idx)).coeffs.items()}
+        return image
+
+
 class _Words:
     """Images of generator words on the index basis vectors, shared by the
     suites of one battery.
@@ -422,8 +439,7 @@ class _Words:
     of a whole battery small; a coefficient equal to one is ``self.one``, so
     composing skips those products.  ``words(g1, ..., gk)`` is g1(...gk(v))
     for the current basis vector v, memoised by suffix until ``start`` moves
-    on to the next basis vector; a single generator's image is its table
-    entry.
+    on to the next basis vector.
     """
 
     def __init__(self, field: ScalarField, n: int):
@@ -431,33 +447,21 @@ class _Words:
         self.n = n
         self.one = field.one()
         self.shared = {self.one: self.one}
-        self.tables: dict[tuple, dict] = {}
+        self.tables: dict[tuple, _Table] = {}
 
     def start(self, idx: tuple[int, ...]) -> dict:
         """Move on to the basis vector of ``idx``; returns its coefficients."""
         v = {idx: self.one}
-        one, basis_image = self.one, self._basis_image
+        one, tables = self.one, self.tables
 
         def step(gen, coeffs):
-            if coeffs is v:
-                return basis_image(gen, idx)
-            return _act(coeffs, partial(basis_image, gen), one)
+            table = tables.get(gen)
+            if table is None:
+                table = tables[gen] = _Table(self, gen)
+            return table[idx] if coeffs is v else _act(coeffs, table.__getitem__, one)
 
         self._image = _word_images(v, step)
         return v
-
-    def _basis_image(self, gen: tuple, idx: tuple[int, ...]) -> dict:
-        table = self.tables.get(gen)
-        if table is None:
-            table = self.tables[gen] = {}
-        image = table.get(idx)
-        if image is None:
-            action, i = gen
-            shared = self.shared
-            image = table[shared.setdefault(idx, idx)] = {
-                shared.setdefault(k, k): shared.setdefault(c, c)
-                for k, c in action(i, TensorVector.basis(self.field, self.n, idx)).coeffs.items()}
-        return image
 
     def __call__(self, *word: tuple) -> dict:
         return self._image(word)

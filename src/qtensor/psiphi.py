@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .coeff import ScalarField, _read_only
 from .combinatorics import Partition, Walk, _entry, a_const, c_const, d_const
-from .tensorspace import TensorVector, _lower, _word_images, apply_E, lincomb, weight_of
+from .tensorspace import TensorVector, _act, _lower, _word_images, apply_E, lincomb, weight_of
 
 __all__ = [
     "NegElement",
@@ -204,7 +204,7 @@ def apply_neg(e: NegElement, v: TensorVector) -> TensorVector:
     field = v.field
     one = field.one()
     image = _word_images(v.coeffs, lambda i, coeffs: _lower(i, coeffs, field.q_power, one))
-    return v._fresh(lincomb(((c, image(word)) for word, c in e.terms.items()), one))
+    return v._fresh(_act(e.terms, image, one))
 
 
 # -- box-adding operators --------------------------------------------------------
@@ -245,7 +245,7 @@ def phi(m: int, weight, b: TensorVector, shift: int = 0, validate: bool = False)
     out = {}
     for j in range(m):
         dj, cw = clear(psi(j, weight, field, m - j - 1 + shift).terms)
-        acc = lincomb(((c, image(w)) for w, c in cw.items()), one)
+        acc = _act(cw, image, one)
         d = D * dj * den**j
         if j:
             # the factor (-q^-1)^j = (-1)^j power(-j) / den

@@ -177,10 +177,10 @@ class TensorVector:
 
 
 def _act(coeffs: dict, rule, one) -> dict:
-    """Sum of c * rule(idx) over the terms (idx, c) of ``coeffs``, where
-    ``rule(idx)`` is the image dict of the basis vector idx; ``one`` is as in
-    ``lincomb``."""
-    return lincomb(((c, rule(idx)) for idx, c in coeffs.items()), one)
+    """Sum of c * rule(key) over the items (key, c) of ``coeffs``: the linear
+    extension of a map given on basis keys (indices, or words) as dicts;
+    ``one`` is as in ``lincomb``."""
+    return lincomb(zip(coeffs.values(), map(rule, coeffs)), one)
 
 
 def _word_images(start, step):
@@ -191,11 +191,13 @@ def _word_images(start, step):
     memo = {(): start}
 
     def image(word):
-        k = 0  # the longest memoised suffix is word[k:]
-        while (got := memo.get(word[k:])) is None:
-            k += 1
-        for t in range(k - 1, -1, -1):
-            got = memo[word[t:]] = step(word[t], got)
+        got = memo.get(word)
+        if got is None:
+            k = 1  # the longest memoised suffix is word[k:]
+            while (got := memo.get(word[k:])) is None:
+                k += 1
+            for t in range(k - 1, -1, -1):
+                got = memo[word[t:]] = step(word[t], got)
         return got
 
     return image
@@ -254,8 +256,7 @@ def _lower(i: int, coeffs: dict, power, one) -> dict:
 
 
 def _grouplike(v: TensorVector, exponent) -> TensorVector:
-    """The diagonal generator that scales each basis vector v_idx by
-    q^exponent(idx)."""
+    """The diagonal generator v_idx -> q^exponent(idx) v_idx."""
     field = v.field
     power = field.q_power
     return v._fresh(_act(v.coeffs, lambda idx: {idx: power(exponent(idx))}, field.one()))
