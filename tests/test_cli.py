@@ -158,13 +158,14 @@ def test_negative_q0_as_its_own_token(command, capsys):
     assert status == 0 and separate == attached and json.loads(attached)
 
 
-@pytest.mark.parametrize("flags", [["--q", "3/2"], ["--q", "-2/5"], ["--sh", "1,1"]])
-def test_abbreviated_flags_are_usage_errors(flags, capsys):
-    status, out, err = run(["vectors", "--n", "2", "--r", "2"] + flags, capsys)
-    assert status == 2 and out == ""
-    assert "unrecognized arguments" in err and "Traceback" not in err
-    for q0 in (["--q0", "-2/5"], ["--q0=-2/5"]):
-        assert run(["vectors", "--n", "2", "--r", "2"] + q0, capsys)[0] == 0
+def test_abbreviated_flags_are_usage_errors(capsys):
+    base = ["vectors", "--n", "2", "--r", "2"]
+    for flags in (["--q", "3/2"], ["--q", "-2/5"], ["--sh", "1,1"]):
+        status, out, err = run(base + flags, capsys)
+        assert status == 2 and out == ""
+        assert "unrecognized arguments" in err and "Traceback" not in err
+    for flags in (["--q0", "-2/5"], ["--q0=-2/5"]):
+        assert run(base + flags, capsys)[0] == 0
 
 
 def test_malformed_q0_is_still_a_usage_error(capsys):
