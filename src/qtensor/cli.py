@@ -14,14 +14,17 @@ Flag grammar::
             [--output text|json] [--out <path>]
 
 Flags are spelled in full: an abbreviation such as --q for --q0 is a usage
-error.  A negative --q0 may follow the flag as its own token (--q0 -2/5) or
-be attached to it (--q0=-2/5).
+error.  --q0 is an optional sign, digits, and an optional /digits; anything
+else (a decimal point, an exponent, spaces) is a usage error.  A negative
+--q0 may follow the flag as its own token (--q0 -2/5) or be attached to it
+(--q0=-2/5).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import dualcheck, psiphi, tensorspace
@@ -58,6 +61,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_Q0_GRAMMAR = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def _attach_negative_q0(argv: list[str]) -> list[str]:
     """``--q0 -2/5`` as ``--q0=-2/5``: argparse takes a token that starts
     with "-" for a flag unless it reads as a plain negative number."""
@@ -84,6 +90,9 @@ def _parse_config(argv: list[str]) -> argparse.Namespace:
     else:
         cfg.shape = None
     try:
+        if cfg.q0 is not None and not _Q0_GRAMMAR.fullmatch(cfg.q0):
+            # Fraction also reads exponents, and would spend seconds expanding 1e99999999
+            raise ValueError("expected num[/den]")
         cfg.field = ScalarField.generic() if cfg.q0 is None else ScalarField.at(cfg.q0)
     except (ValueError, ZeroDivisionError) as exc:
         raise _UsageError(f"bad --q0 value {cfg.q0!r}: {exc}") from None

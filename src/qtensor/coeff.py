@@ -209,7 +209,10 @@ class LaurentPoly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self._terms.items())))
+        terms = self._terms
+        if not terms or len(terms) == 1 and 0 in terms:
+            return hash(terms.get(0, 0))  # a constant equals, so hashes as, its int
+        return hash(tuple(sorted(terms.items())))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -587,7 +590,8 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        # over one, a RatFunc equals (so hashes as) its numerator
+        return hash(self.num) if self.den.is_one else hash((self.num, self.den))
 
     def __str__(self) -> str:
         if self.den.is_one:
@@ -676,21 +680,62 @@ def _numerator(x, d):
     return x
 
 
-def _read_only(self, name, value=None):
-    raise AttributeError(f"cannot assign to field {name!r}")
+class _Value:
+    """Immutable value whose slots named in ``_fields`` are its value: no
+    attribute can be assigned or deleted, equality needs the same class and
+    equal fields, and the hash is that of the field tuple.  The shared
+    ``__init__`` binds arguments to ``_fields`` in order, with ``_defaults``;
+    a class that validates writes its own and sets slots by ``object.__setattr__``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        fields, cls = self._fields, type(self).__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{cls} takes {len(fields)} fields, not {len(args)}")
+        given = {**self._defaults, **dict(zip(fields, args))}
+        for name, value in kwargs.items():
+            if name not in fields:
+                raise TypeError(f"{cls} has no field {name!r}")
+            if name in fields[:len(args)]:
+                raise TypeError(f"{cls} got field {name!r} twice")
+            given[name] = value
+        for name in fields:
+            if name not in given:
+                raise TypeError(f"{cls} is missing field {name!r}")
+            object.__setattr__(self, name, given[name])
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
 
 
-class ScalarField:
+class ScalarField(_Value):
     """Coefficient field for the whole pipeline.
 
     q0 = None computes over the generic fraction field (RatFunc values);
     a rational q0 switches every computation to exact Fraction values.
     The field's one and zero are built once, so ``c is field.one()`` spots
-    the one.
+    the one; they are not fields, so two fields are equal when their q0 is.
     """
 
     __slots__ = ("q0", "_one", "_zero")
-    __setattr__ = __delattr__ = _read_only
+    _fields = ("q0",)
 
     def __init__(self, q0: Fraction | None = None):
         if q0 is not None:
@@ -698,15 +743,6 @@ class ScalarField:
         object.__setattr__(self, "q0", q0)
         object.__setattr__(self, "_one", RatFunc.from_int(1) if q0 is None else Fraction(1))
         object.__setattr__(self, "_zero", RatFunc.from_int(0) if q0 is None else Fraction(0))
-
-    def __eq__(self, other):
-        return self.q0 == other.q0 if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.q0,))
-
-    def __repr__(self) -> str:
-        return f"ScalarField(q0={self.q0!r})"
 
     @classmethod
     def generic(cls) -> ScalarField:

@@ -13,7 +13,7 @@ from functools import cache
 from math import factorial
 from typing import Sequence
 
-from .coeff import _read_only
+from .coeff import _Value
 
 __all__ = [
     "Partition",
@@ -36,11 +36,10 @@ __all__ = [
 Weight = Sequence[int]
 
 
-class Partition:
+class Partition(_Value):
     """Weakly decreasing nonnegative parts; trailing zeros are stripped."""
 
-    __slots__ = ("parts",)
-    __setattr__ = __delattr__ = _read_only
+    __slots__ = _fields = ("parts",)
 
     def __init__(self, parts: tuple[int, ...] = ()):
         ps = tuple(int(p) for p in parts)
@@ -50,15 +49,6 @@ class Partition:
             if p < 0 or (i + 1 < len(ps) and ps[i + 1] > p):
                 raise ValueError(f"not a partition: {parts}")
         object.__setattr__(self, "parts", ps)
-
-    def __eq__(self, other):
-        return self.parts == other.parts if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.parts,))
-
-    def __repr__(self) -> str:
-        return f"Partition(parts={self.parts!r})"
 
     @classmethod
     def from_string(cls, text: str) -> Partition:
@@ -145,11 +135,10 @@ def pairing_constants(w: Partition | Weight, j: int) -> tuple[int, int, int]:
     return a_const(w, j), c_const(w, j), d_const(w, j)
 
 
-class Walk:
+class Walk(_Value):
     """Path in the growth diagram, recorded as the row added at each step."""
 
-    __slots__ = ("rows",)
-    __setattr__ = __delattr__ = _read_only
+    __slots__ = _fields = ("rows",)
 
     def __init__(self, rows: tuple[int, ...]):
         rows = tuple(int(k) for k in rows)
@@ -157,15 +146,6 @@ class Walk:
         for k in rows:
             lam = lam.add_box(k)  # raises if some step is not addable
         object.__setattr__(self, "rows", rows)
-
-    def __eq__(self, other):
-        return self.rows == other.rows if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.rows,))
-
-    def __repr__(self) -> str:
-        return f"Walk(rows={self.rows!r})"
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -207,11 +187,10 @@ def enumerate_walks(n: int, r: int, target: Partition | None = None) -> list[Wal
     return out
 
 
-class StandardTableau:
+class StandardTableau(_Value):
     """Filling of a partition shape by 1..r, increasing along rows and columns."""
 
-    __slots__ = ("rows",)
-    __setattr__ = __delattr__ = _read_only
+    __slots__ = _fields = ("rows",)
 
     def __init__(self, rows: tuple[tuple[int, ...], ...]):
         rows = tuple(tuple(int(x) for x in row) for row in rows)
@@ -228,15 +207,6 @@ class StandardTableau:
             for j in range(len(rows[i])):
                 if rows[i - 1][j] >= rows[i][j]:
                     raise ValueError("columns must strictly increase")
-
-    def __eq__(self, other):
-        return self.rows == other.rows if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.rows,))
-
-    def __repr__(self) -> str:
-        return f"StandardTableau(rows={self.rows!r})"
 
     @property
     def shape(self) -> Partition:

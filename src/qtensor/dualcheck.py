@@ -2,9 +2,10 @@
 closed-form norms, transposition matrices on each isotypic block, the
 invariant-vector basis, and the multiplicity decomposition report.
 
-Reports are value objects so the command line and the tests share one code
-path; every check is exact (a nonzero residual anywhere is a failure, never
-a tolerance question).
+Reports are immutable values on `coeff._Value` (fields fixed at
+construction, equal when their fields are), so the command line and the
+tests share one code path; every check is exact (a nonzero residual anywhere
+is a failure, never a tolerance question).
 
 Pairings.  The Gram check and the Specht projections clear each vector once
 to one common denominator (``ScalarField.clear``) and pair the numerators in
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 
-from .coeff import ScalarField
+from .coeff import ScalarField, _Value
 from .combinatorics import (
     Partition,
     Walk,
@@ -102,13 +103,8 @@ def maximal_basis(n: int, r: int, field: ScalarField,
     return [build_c_pi(w, field, n) for w in enumerate_walks(n, r, shape)]
 
 
-class GramReport:
-    def __init__(self, matrix: list[list[object]], diagonal: list[object], ok: bool,
-                 violations: list[tuple[Walk, Walk]]):
-        self.matrix = matrix
-        self.diagonal = diagonal
-        self.ok = ok
-        self.violations = violations
+class GramReport(_Value):
+    __slots__ = _fields = ("matrix", "diagonal", "ok", "violations")
 
 
 def gram_check(records: list[MaximalVectorRecord]) -> GramReport:
@@ -155,13 +151,8 @@ class SpechtConsistencyError(RuntimeError):
     """A transposition image failed to lie in the span of the walk basis."""
 
 
-class SpechtData:
-    def __init__(self, shape: Partition, basis: list[MaximalVectorRecord], gram_diagonal: list[object],
-                 t_matrices: list[list[list[object]]]):
-        self.shape = shape
-        self.basis = basis
-        self.gram_diagonal = gram_diagonal
-        self.t_matrices = t_matrices
+class SpechtData(_Value):
+    __slots__ = _fields = ("shape", "basis", "gram_diagonal", "t_matrices")
 
 
 def specht_matrices(lam: Partition, n: int, r: int, field: ScalarField) -> SpechtData:
@@ -198,14 +189,8 @@ def specht_matrices(lam: Partition, n: int, r: int, field: ScalarField) -> Spech
     return SpechtData(shape=lam, basis=records, gram_diagonal=norms, t_matrices=t_matrices)
 
 
-class YoungsRuleReport:
-    def __init__(self, shape: Partition, n: int, lhs: int,
-                 contributions: list[tuple[int, Partition, int]], ok: bool):
-        self.shape = shape
-        self.n = n
-        self.lhs = lhs
-        self.contributions = contributions
-        self.ok = ok
+class YoungsRuleReport(_Value):
+    __slots__ = _fields = ("shape", "n", "lhs", "contributions", "ok")
 
 
 def youngs_rule_check(lam: Partition, n: int) -> YoungsRuleReport:
@@ -239,24 +224,12 @@ def invariants_basis(n: int, r: int, field: ScalarField) -> list[MaximalVectorRe
     return records
 
 
-class ShapeRow:
-    def __init__(self, shape: Partition, weyl_dim: int, f: int, walks: int, all_maximal: bool,
-                 gram_diagonal: bool):
-        self.shape = shape
-        self.weyl_dim = weyl_dim
-        self.f = f
-        self.walks = walks
-        self.all_maximal = all_maximal
-        self.gram_diagonal = gram_diagonal
+class ShapeRow(_Value):
+    __slots__ = _fields = ("shape", "weyl_dim", "f", "walks", "all_maximal", "gram_diagonal")
 
 
-class DecompositionReport:
-    def __init__(self, n: int, r: int, rows: list[ShapeRow], total: int, identity_ok: bool):
-        self.n = n
-        self.r = r
-        self.rows = rows
-        self.total = total
-        self.identity_ok = identity_ok
+class DecompositionReport(_Value):
+    __slots__ = _fields = ("n", "r", "rows", "total", "identity_ok")
 
     def to_json_dict(self) -> dict:
         return {
@@ -320,19 +293,11 @@ def _rank(vectors: list[dict], one) -> int:
     return rank
 
 
-class RootVectorReport:
-    def __init__(self, shape: Partition, n: int, entries: list[tuple[int, int, object]],
-                 weights: list[tuple[int, ...]], count_ok: bool, weights_distinct: bool,
-                 independent: bool, vanished: list[tuple[int, int]], applied_independent: bool):
-        self.shape = shape
-        self.n = n
-        self.entries = entries  # (m, j, element)
-        self.weights = weights
-        self.count_ok = count_ok
-        self.weights_distinct = weights_distinct
-        self.independent = independent
-        self.vanished = vanished
-        self.applied_independent = applied_independent
+class RootVectorReport(_Value):
+    """``entries`` holds (m, j, element) triples."""
+
+    __slots__ = _fields = ("shape", "n", "entries", "weights", "count_ok", "weights_distinct",
+                           "independent", "vanished", "applied_independent")
 
     @property
     def ok(self) -> bool:
@@ -390,11 +355,9 @@ def root_vector_check(lam: Partition, n: int, field: ScalarField) -> RootVectorR
 # -- relation suites --------------------------------------------------------------
 
 
-class CheckResult:
-    def __init__(self, name: str, ok: bool, detail: str = ""):
-        self.name = name
-        self.ok = ok
-        self.detail = detail
+class CheckResult(_Value):
+    __slots__ = _fields = ("name", "ok", "detail")
+    _defaults = {"detail": ""}
 
 
 def _all_indices(n: int, r: int):
@@ -603,11 +566,8 @@ def check_commuting_actions(n: int, r: int, field: ScalarField, *,
     return CheckResult("commuting actions", ok)
 
 
-class VerifyReport:
-    def __init__(self, n: int, r: int, checks: list[CheckResult]):
-        self.n = n
-        self.r = r
-        self.checks = checks
+class VerifyReport(_Value):
+    __slots__ = _fields = ("n", "r", "checks")
 
     @property
     def ok(self) -> bool:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .coeff import ScalarField, _read_only
+from .coeff import ScalarField, _Value
 from .combinatorics import Partition, Walk, _entry, a_const, c_const, d_const
 from .tensorspace import TensorVector, _act, _lower, _word_images, apply_E, lincomb, weight_of
 
@@ -258,27 +258,10 @@ def phi(m: int, weight, b: TensorVector, shift: int = 0, validate: bool = False)
     return TensorVector.zero(field, b.n, b.r + 1)._fresh(out)
 
 
-class MaximalVectorRecord:
+class MaximalVectorRecord(_Value):
     """A walk, the highest-weight vector it produces, and its shape."""
 
-    __slots__ = ("walk", "vector", "weight")
-    __setattr__ = __delattr__ = _read_only
-
-    def __init__(self, walk: Walk, vector: TensorVector, weight: Partition):
-        object.__setattr__(self, "walk", walk)
-        object.__setattr__(self, "vector", vector)
-        object.__setattr__(self, "weight", weight)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.walk, self.vector, self.weight) == (other.walk, other.vector, other.weight)
-
-    def __hash__(self) -> int:
-        return hash((self.walk, self.vector, self.weight))
-
-    def __repr__(self) -> str:
-        return f"MaximalVectorRecord(walk={self.walk!r}, vector={self.vector!r}, weight={self.weight!r})"
+    __slots__ = _fields = ("walk", "vector", "weight")
 
 
 def build_c_pi(pi: Walk, field: ScalarField, n: int | None = None) -> MaximalVectorRecord:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -172,6 +173,18 @@ def test_malformed_q0_is_still_a_usage_error(capsys):
     for q0 in ("x/y", "-x/y"):
         status, out, err = run(["vectors", "--n", "2", "--r", "2", "--q0", q0], capsys)
         assert status == 2 and out == "" and "q0" in err
+
+
+def test_q0_outside_the_documented_grammar_is_a_usage_error(capsys):
+    base = ["walks", "--n", "2", "--r", "2"]
+    start = time.perf_counter()
+    status, out, err = run(base + ["--q0", "1e99999999"], capsys)
+    assert time.perf_counter() - start < 1
+    assert status == 2 and out == "" and "bad --q0 value" in err
+    status, out, err = run(base + ["--q0", "0.5"], capsys)
+    assert status == 2 and out == "" and "bad --q0 value" in err
+    for flags in (["--q0", "3/2"], ["--q0", "2"], ["--q0", "-2/5"], ["--q0=-2/5"]):
+        assert run(base + flags, capsys)[0] == 0
 
 
 def test_unwritable_out_path(tmp_path, capsys):

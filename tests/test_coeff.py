@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from functools import reduce
@@ -28,11 +29,11 @@ def to_sympy(p: LaurentPoly):
 
 
 @st.composite
-def laurent_polys(draw, min_terms=0):
+def laurent_polys(draw, min_terms=0, max_terms=6):
     pairs = draw(st.dictionaries(
         st.integers(min_value=-6, max_value=6),
         st.integers(min_value=-9, max_value=9),
-        min_size=min_terms, max_size=6,
+        min_size=min_terms, max_size=max_terms,
     ))
     return LaurentPoly(pairs)
 
@@ -175,6 +176,24 @@ def test_canonical_equality(a, b):
     if x:
         assert x * x.inverse() == RatFunc.from_int(1)
         assert x ** -2 == (x.inverse()) ** 2
+
+
+@given(a=st.one_of(st.integers(min_value=-9, max_value=9), laurent_polys(max_terms=2)),
+       b=st.one_of(st.integers(min_value=-9, max_value=9), laurent_polys(max_terms=2)),
+       scale=nonzero_laurent)
+@settings(max_examples=150, deadline=None)
+def test_equal_coefficients_hash_equal(a, b, scale):
+    # every int or Laurent polynomial, as itself, as a constant or a field
+    # element, and as that element written over a common factor
+    forms = []
+    for x in (a, b):
+        poly = LaurentPoly.const(x) if isinstance(x, int) else x
+        forms += [x, poly, RatFunc(x), RatFunc.from_laurent(poly), RatFunc(poly * scale, scale)]
+    for x, y in itertools.product(forms, repeat=2):
+        if x == y:
+            assert hash(x) == hash(y), (x, y)
+    assert len({LaurentPoly.const(2), 2, RatFunc(2)}) == 1
+    assert hash(LaurentPoly()) == hash(RatFunc(0)) == hash(0)
 
 
 def test_rendering_examples():

@@ -496,3 +496,62 @@ def test_verify_suite_is_the_concatenated_stages(field):
         "build", "maximality", "Gram", "norms", "counting", "quantum", "Hecke", "commuting"]
     flat = [(c.name, c.ok, c.detail) for _, checks in stages for c in checks]
     assert [(c.name, c.ok, c.detail) for c in verify_suite(3, 3, field).checks] == flat
+
+
+# report class name -> (a report the package built, its fields in constructor order)
+REPORTS = {
+    "GramReport": (lambda: gram_check(maximal_basis(2, 2, GEN)), ("matrix", "diagonal", "ok", "violations")),
+    "SpechtData": (lambda: specht_matrices(P((2, 1)), 2, 3, GEN),
+                   ("shape", "basis", "gram_diagonal", "t_matrices")),
+    "YoungsRuleReport": (lambda: youngs_rule_check(P((2, 1)), 3), ("shape", "n", "lhs", "contributions", "ok")),
+    "ShapeRow": (lambda: decomposition_report(2, 2, GEN).rows[0],
+                 ("shape", "weyl_dim", "f", "walks", "all_maximal", "gram_diagonal")),
+    "DecompositionReport": (lambda: decomposition_report(2, 2, GEN), ("n", "r", "rows", "total", "identity_ok")),
+    "RootVectorReport": (lambda: root_vector_check(P((2, 1)), 3, GEN),
+                         ("shape", "n", "entries", "weights", "count_ok", "weights_distinct", "independent",
+                          "vanished", "applied_independent")),
+    "CheckResult": (lambda: dualcheck.CheckResult("braid relation", True, "12 index vectors"),
+                    ("name", "ok", "detail")),
+    "VerifyReport": (lambda: verify_suite(2, 2, GEN), ("n", "r", "checks")),
+}
+
+
+def _report(name):
+    make, fields = REPORTS[name]
+    report = make()
+    return getattr(dualcheck, name), report, fields, [getattr(report, f) for f in fields]
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_reports_are_values(name):
+    cls, report, fields, values = _report(name)
+    assert type(report) is cls
+    by_keyword = cls(**dict(zip(fields, values)))
+    assert cls(*values) == by_keyword == report and not cls(*values) != report
+    assert cls(object(), *values[1:]) != report and report != tuple(values)
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(report, field, None)
+        with pytest.raises(AttributeError):
+            delattr(report, field)
+    assert [getattr(report, f) for f in fields] == values
+    assert repr(report) == f"{name}(" + ", ".join(f"{f}={v!r}" for f, v in zip(fields, values)) + ")"
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_report_constructors_reject_bad_fields(name):
+    cls, _, fields, values = _report(name)
+    keywords = dict(zip(fields, values))
+    with pytest.raises(TypeError, match="missing"):
+        cls(**{f: v for f, v in keywords.items() if f != fields[0]})
+    with pytest.raises(TypeError, match="no field 'bogus'"):
+        cls(*values, bogus=1)
+    with pytest.raises(TypeError, match="takes"):
+        cls(*values, None)
+    with pytest.raises(TypeError, match="twice"):
+        cls(*values, **{fields[0]: values[0]})
+
+
+def test_check_result_detail_defaults_to_empty():
+    assert dualcheck.CheckResult("counting", True) == dualcheck.CheckResult(name="counting", ok=True, detail="")
+    assert dualcheck.CheckResult("counting", ok=False).detail == ""
