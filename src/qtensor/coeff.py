@@ -731,10 +731,11 @@ class ScalarField(_Value):
     q0 = None computes over the generic fraction field (RatFunc values);
     a rational q0 switches every computation to exact Fraction values.
     The field's one and zero are built once, so ``c is field.one()`` spots
-    the one; they are not fields, so two fields are equal when their q0 is.
+    the one, and so is q - q^-1; they are not fields, so two fields are equal
+    when their q0 is.
     """
 
-    __slots__ = ("q0", "_one", "_zero")
+    __slots__ = ("q0", "_one", "_zero", "_q_diff")
     _fields = ("q0",)
 
     def __init__(self, q0: Fraction | None = None):
@@ -743,6 +744,7 @@ class ScalarField(_Value):
         object.__setattr__(self, "q0", q0)
         object.__setattr__(self, "_one", RatFunc.from_int(1) if q0 is None else Fraction(1))
         object.__setattr__(self, "_zero", RatFunc.from_int(0) if q0 is None else Fraction(0))
+        object.__setattr__(self, "_q_diff", self.q_power(1) - self.q_power(-1))
 
     @classmethod
     def generic(cls) -> ScalarField:
@@ -757,6 +759,9 @@ class ScalarField(_Value):
 
     def one(self):
         return self._one
+
+    def q_diff(self):
+        return self._q_diff
 
     def from_int(self, c: int):
         return RatFunc.from_int(c) if self.q0 is None else Fraction(c)

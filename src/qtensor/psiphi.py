@@ -196,6 +196,13 @@ def _psi_cached(j: int, shift: int, window: tuple[int, ...], field: ScalarField)
     return (gen * inner).scale(field.qint(c) / dd) - (inner * gen).scale(field.qint(c - 1) / dd)
 
 
+@lru_cache(maxsize=None)
+def _psi_cleared(j: int, shift: int, window: tuple[int, ...], field: ScalarField) -> tuple:
+    """``_psi_cached``'s element, cleared once for ``phi`` by the numerator
+    ring's ``clear`` (which takes no exponent bound, so any will do)."""
+    return field.numerator_ring(0)[0](_psi_cached(j, shift, window, field).terms)
+
+
 def apply_neg(e: NegElement, v: TensorVector) -> TensorVector:
     """Realize an element as an operator: each word acts letter by letter,
     rightmost letter first, and words that share a suffix share its image."""
@@ -244,7 +251,8 @@ def phi(m: int, weight, b: TensorVector, shift: int = 0, validate: bool = False)
     image = _word_images(nums, lambda i, coeffs: _lower(i, coeffs, power, one))
     out = {}
     for j in range(m):
-        dj, cw = clear(psi(j, weight, field, m - j - 1 + shift).terms)
+        inner = m - j - 1 + shift
+        dj, cw = _psi_cleared(j, inner, _weight_window(weight, j, inner), field)
         acc = _act(cw, image, one)
         d = D * dj * den**j
         if j:

@@ -183,6 +183,17 @@ def _act(coeffs: dict, rule, one) -> dict:
     return lincomb(zip(coeffs.values(), map(rule, coeffs)), one)
 
 
+def _apply(v: TensorVector, rule) -> TensorVector:
+    """An action given by a basis rule whose images are fresh dicts without
+    zero entries; a basis vector's image is the rule's own dict."""
+    coeffs, one = v.coeffs, v.field.one()
+    if len(coeffs) == 1:
+        (idx, c), = coeffs.items()
+        if c is one:
+            return v._fresh(rule(idx))
+    return v._fresh(_act(coeffs, rule, one))
+
+
 def _word_images(start, step):
     """Images of words under a monoid action, memoised by suffix: the image
     of the empty word is ``start``, and the image of a word is
@@ -208,11 +219,12 @@ def _check_ef_index(i: int, n: int):
         raise ValueError(f"generator index {i} out of range 1..{n - 1}")
 
 
-def _coproduct(src: int, dst: int, power, from_right: bool):
+def _coproduct(src: int, dst: int, power, unit, from_right: bool):
     """Basis rule of E_i (src i+1, dst i, scanned from the left) and F_i
     (src i, dst i+1, from the right) via the iterated coproduct: each slot
     holding src in turn becomes dst, times power(e) for q^e, where e = #dst -
-    #src over the slots already passed, which carry the coroot grouplike."""
+    #src over the slots already passed, which carry the coroot grouplike;
+    ``unit`` is power(0)."""
 
     def rule(idx):
         if src not in idx:
@@ -222,7 +234,7 @@ def _coproduct(src: int, dst: int, power, from_right: bool):
         for s in range(len(idx) - 1, -1, -1) if from_right else range(len(idx)):
             letter = idx[s]
             if letter == src:
-                image[idx[:s] + (dst,) + idx[s + 1:]] = power(e)
+                image[idx[:s] + (dst,) + idx[s + 1:]] = power(e) if e else unit
                 e -= 1
             elif letter == dst:
                 e += 1
@@ -236,7 +248,7 @@ def apply_E(i: int, v: TensorVector) -> TensorVector:
     left of the active slot contribute a power of q."""
     _check_ef_index(i, v.n)
     field = v.field
-    return v._fresh(_act(v.coeffs, _coproduct(i + 1, i, field.q_power, False), field.one()))
+    return _apply(v, _coproduct(i + 1, i, field.q_power, field.one(), False))
 
 
 def apply_F(i: int, v: TensorVector) -> TensorVector:
@@ -244,22 +256,20 @@ def apply_F(i: int, v: TensorVector) -> TensorVector:
     active slot contribute the power of q."""
     _check_ef_index(i, v.n)
     field = v.field
-    return v._fresh(_lower(i, v.coeffs, field.q_power, field.one()))
+    return _apply(v, _coproduct(i, i + 1, field.q_power, field.one(), True))
 
 
 def _lower(i: int, coeffs: dict, power, one) -> dict:
     """F_i on a coefficient dict, with q^e written as the multiplier
-    ``power(e)``.  ``apply_F`` passes the field's ``q_power``; ``psiphi``
-    passes ring multipliers of cleared numerators
+    ``power(e)``.  ``psiphi`` passes ring multipliers of cleared numerators
     (``ScalarField.numerator_ring``).  ``one`` is as in ``lincomb``."""
-    return _act(coeffs, _coproduct(i, i + 1, power, True), one)
+    return _act(coeffs, _coproduct(i, i + 1, power, power(0), True), one)
 
 
 def _grouplike(v: TensorVector, exponent) -> TensorVector:
     """The diagonal generator v_idx -> q^exponent(idx) v_idx."""
-    field = v.field
-    power = field.q_power
-    return v._fresh(_act(v.coeffs, lambda idx: {idx: power(exponent(idx))}, field.one()))
+    power = v.field.q_power
+    return _apply(v, lambda idx: {idx: power(exponent(idx))})
 
 
 def apply_K(j: int, v: TensorVector, inverse: bool = False) -> TensorVector:
@@ -304,9 +314,7 @@ def apply_T(i: int, v: TensorVector) -> TensorVector:
     if not 1 <= i <= v.r - 1:
         raise ValueError(f"T index {i} out of range 1..{v.r - 1}")
     field = v.field
-    one = field.one()
-    q = field.q_power(1)
-    qdiff = q - field.q_power(-1)
+    one, q, qdiff = field.one(), field.q_power(1), field.q_diff()
 
     def rule(idx):
         a, b = idx[i - 1], idx[i]
@@ -317,7 +325,7 @@ def apply_T(i: int, v: TensorVector) -> TensorVector:
             image[idx] = qdiff
         return image
 
-    return v._fresh(_act(v.coeffs, rule, one))
+    return _apply(v, rule)
 
 
 # -- bilinear form ---------------------------------------------------------------

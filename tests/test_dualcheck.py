@@ -308,6 +308,56 @@ def exhaustive_quantum_relations(n, r, field):
     return ok
 
 
+def exhaustive_hecke_relations(n, r, field):
+    """Oracle for ``check_hecke_relations``: the quadratic relation with its
+    support condition, the braid relation and far commutation applied
+    directly to all n^r basis vectors.  Returns {row name: verdict}."""
+    T = {i: partial(dualcheck.apply_T, i) for i in range(1, r)}
+    qdiff = field.q_power(1) - field.q_power(-1)
+    ok = dict.fromkeys(["quadratic relation", "braid relation", "far commutation of transpositions"], True)
+    for idx in itertools.product(range(1, n + 1), repeat=r):
+        v = TensorVector.basis(field, n, idx)
+        for i in T:
+            image = T[i](v)
+            swapped = idx[:i - 1] + (idx[i], idx[i - 1]) + idx[i + 1:]
+            ok["quadratic relation"] &= (bool(image.coeffs.get(swapped)) and image.coeffs.keys() <= {idx, swapped}
+                                         and T[i](image) == image.scale(qdiff) + v)
+            if i + 1 in T:
+                ok["braid relation"] &= T[i](T[i + 1](image)) == T[i + 1](T[i](T[i + 1](v)))
+            for j in range(i + 2, r):
+                ok["far commutation of transpositions"] &= T[i](T[j](v)) == T[j](image)
+    return ok
+
+
+def exhaustive_commuting_actions(n, r, field):
+    """Oracle for ``check_commuting_actions``: K_j K_j^-1 = 1, and every E_j,
+    F_j, K~_j and K_j against every T_i, applied directly to all n^r basis
+    vectors.  Returns {row name: verdict}."""
+    gens = [partial(getattr(dualcheck, name), j) for name in ("apply_E", "apply_F", "apply_tK") for j in range(1, n)]
+    gens += [partial(dualcheck.apply_K, j) for j in range(1, n + 1)]
+    ok = True
+    for idx in itertools.product(range(1, n + 1), repeat=r):
+        v = TensorVector.basis(field, n, idx)
+        ok &= all(dualcheck.apply_K(j, dualcheck._apply_K_inverse(j, v)) == v for j in range(1, n + 1))
+        for i in range(1, r):
+            image = dualcheck.apply_T(i, v)
+            ok &= all(g(image) == dualcheck.apply_T(i, g(v)) for g in gens)
+    return {"commuting actions": ok}
+
+
+def _relation_rows(n, r, field):
+    """{row name: verdict} of the Hecke and commuting suites, sharing tables
+    as a battery does."""
+    words = dualcheck._Words(field, n)
+    rows = check_hecke_relations(n, r, field, words=words) + [check_commuting_actions(n, r, field, words=words)]
+    assert all(c.detail == "" for c in rows if c.ok)
+    return {c.name: c.ok for c in rows}
+
+
+def _exhaustive_rows(n, r, field):
+    return {**exhaustive_hecke_relations(n, r, field), **exhaustive_commuting_actions(n, r, field)}
+
+
 def _quantum_ok(n, r, field):
     return all(c.ok for c in check_quantum_relations(n, r, field))
 
@@ -344,6 +394,166 @@ def test_mutation_parity_of_the_reduced_battery(n, r, field, monkeypatch):
         monkeypatch.setattr(dualcheck, name, real)
     assert mutants == 6 * r * n
     assert caught == mutants
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
+@pytest.mark.parametrize("n,r", [(1, 3), (2, 2), (2, 4), (3, 3), (4, 3), (3, 1)])
+def test_local_suites_pass_without_a_scan(n, r, field, monkeypatch):
+    # the true actions meet every premise and every local lemma, so no pair
+    # falls back to comparing words on all n^r vectors
+    words, scan, fallbacks = dualcheck._Words(field, n), dualcheck._scan, []
+
+    def spy(w, indices, fails):
+        fallbacks.extend([w] if w is words else [])
+        return scan(w, indices, fails)
+
+    monkeypatch.setattr(dualcheck, "_scan", spy)
+    rows = check_hecke_relations(n, r, field, words=words) + [check_commuting_actions(n, r, field, words=words)]
+    assert [(c.ok, c.detail) for c in rows] == [(True, "")] * 4 and fallbacks == []
+    assert all(_exhaustive_rows(n, r, field).values())
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
+@pytest.mark.parametrize("n,r", [(3, 3), (2, 4)])
+def test_local_suites_give_the_exhaustive_verdicts_under_skews(n, r, field, monkeypatch):
+    """The single-site skews of the parity sweep: every row of the Hecke and
+    commuting suites equals the exhaustive oracle's."""
+    failing = 0
+    for name in ("apply_E", "apply_F", "apply_K", "apply_tK", "apply_T", "_apply_K_inverse"):
+        real = getattr(dualcheck, name)
+        for pos in range(r):
+            for letter in range(1, n + 1):
+                monkeypatch.setattr(dualcheck, name, _skewed(real, lambda idx: idx[pos] == letter))
+                rows = _relation_rows(n, r, field)
+                assert rows == _exhaustive_rows(n, r, field), (name, pos, letter)
+                failing += not all(rows.values())
+        monkeypatch.setattr(dualcheck, name, real)
+    assert failing == 6 * r * n
+
+
+def _conjugated_T2(real):
+    """T_2 conjugated by the diagonal q^(first letter * second letter): a
+    Hecke generator still, but its image depends on slot 1."""
+
+    def apply_T(i, v):
+        if i != 2:
+            return real(i, v)
+        f = v.field
+
+        def weight(idx, sign):
+            return f.q_power(sign * idx[0] * idx[1])
+
+        out = real(i, TensorVector(f, v.n, v.r, {idx: c * weight(idx, -1) for idx, c in v.coeffs.items()}))
+        return TensorVector(f, v.n, v.r, {idx: c * weight(idx, 1) for idx, c in out.coeffs.items()})
+
+    return apply_T
+
+
+def _nilpotent_K1(real):
+    """K_1 + N, where N moves the letter 1 in slot 1 to 2, and K_1^-1 the
+    inverse of that sum, K_1^-1 - K_1^-1 N K_1^-1 (as N^2 = 0): not
+    diagonal, yet K_1 K_1^-1 = 1."""
+
+    def N(v):
+        return TensorVector(v.field, v.n, v.r, {(2,) + idx[1:]: c for idx, c in v.coeffs.items() if idx[0] == 1})
+
+    def apply_K(j, v, inverse=False):
+        out = real(j, v, inverse=inverse)
+        if j != 1:
+            return out
+        return out - real(1, N(out), inverse=True) if inverse else out + N(v)
+
+    return apply_K
+
+
+def _broken_premises(n, r, field):
+    """The generators whose local form the suites cannot use."""
+    words = dualcheck._Words(field, n)
+    broken = {f"T_{i}" for i in range(1, r) if dualcheck._two_site(words, r, (dualcheck.apply_T, i)) is None}
+    broken |= {f"{x}_{j}" for x, right in (("E", False), ("F", True)) for j in range(1, n)
+               if dualcheck._coproduct_form(words, r, (getattr(dualcheck, "apply_" + x), j), right) is None}
+    broken |= {f"{x}_{j}" for x, action, m in (("K~", dualcheck.apply_tK, n - 1), ("K", dualcheck.apply_K, n))
+               for j in range(1, m + 1) if dualcheck._eigenvalues(words, r, (action, j)) is None}
+    return broken
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
+@pytest.mark.parametrize("n,r", [(3, 3), (2, 4), (3, 4)])
+@pytest.mark.parametrize("mutant", ["T_2 reads slot 1", "E off its coproduct", "K_1 not diagonal"])
+def test_a_broken_premise_falls_back_to_the_exhaustive_verdicts(mutant, n, r, field, monkeypatch):
+    assert _broken_premises(n, r, field) == set()
+    if mutant == "T_2 reads slot 1":
+        monkeypatch.setattr(dualcheck, "apply_T", _conjugated_T2(dualcheck.apply_T))
+        broken = "T_2"
+    elif mutant == "E off its coproduct":
+        unsorted = (n,) + (1,) * (r - 1)
+        monkeypatch.setattr(dualcheck, "apply_E", _skewed(dualcheck.apply_E, lambda idx: idx == unsorted))
+        broken = f"E_{n - 1}"
+    else:
+        monkeypatch.setattr(dualcheck, "apply_K", _nilpotent_K1(dualcheck.apply_K))
+        broken = "K_1"
+    assert _broken_premises(n, r, field) == {broken}
+    assert _relation_rows(n, r, field) == _exhaustive_rows(n, r, field)
+
+
+def _first_residual(field, n, r, lhs, rhs):
+    """'v[idx]: residual ...' at the first index where two maps of basis
+    vectors differ, computed directly."""
+    for idx in itertools.product(range(1, n + 1), repeat=r):
+        v = TensorVector.basis(field, n, idx)
+        if lhs(v) != rhs(v):
+            return f"v[{','.join(map(str, idx))}]: residual {lhs(v) - rhs(v)}"
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
+def test_failing_rows_name_their_first_witness(field, monkeypatch):
+    monkeypatch.setattr(dualcheck, "apply_T", _skewed(dualcheck.apply_T))
+    T1, T2 = partial(dualcheck.apply_T, 1), partial(dualcheck.apply_T, 2)
+    quadratic, braid, far = check_hecke_relations(3, 3, field)
+    # at v[1,1,1] the skewed T_1 is q^2, so T_1^2 - (q - q^-1) T_1 - 1 = q^4 - q^3 + q - 1
+    q = field.q_power(1)
+    residual = TensorVector.basis(field, 3, (1, 1, 1)).scale(q * q * q * q - q * q * q + q - field.one())
+    assert quadratic.detail == f"T_1^2 - (q - q^-1) T_1 - 1 at v[1,1,1]: residual {residual}"
+    assert braid.detail == "T_1 T_2 T_1 - T_2 T_1 T_2 at " + _first_residual(
+        field, 3, 3, lambda v: T1(T2(T1(v))), lambda v: T2(T1(T2(v))))
+    assert far.ok and far.detail == ""
+    # the commuting row's witness is its first failing pair in the suite's
+    # order (K_j K_j^-1 for each j, then E, F, K~ and K against T_1, ...)
+    E1 = partial(dualcheck.apply_E, 1)
+    assert all(exhaustive_commuting_actions(3, 3, field).values()) is False
+    assert check_commuting_actions(3, 3, field).detail == "[E_1, T_1] at " + _first_residual(
+        field, 3, 3, lambda v: E1(T1(v)), lambda v: T1(E1(v)))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
+def test_raising_pair_needs_the_grouplike_condition(field, monkeypatch):
+    # T_1 := Δ(E_1) on slots (1, 2) commutes with Δ(E_1) on V⊗V but not with
+    # K~_1⊗K~_1, and E_1 acts on slot 3 too, so [E_1, T_1] != 0 at r = 3: it
+    # is the first failing pair, ahead of [F_1, T_1]
+    real = dualcheck.apply_T
+
+    def apply_T(i, v):
+        if i != 1:
+            return real(i, v)
+        out = TensorVector.zero(field, v.n, v.r)
+        for idx, c in v.coeffs.items():
+            local = apply_E(1, TensorVector.basis(field, v.n, idx[:2]))
+            out = out + TensorVector(field, v.n, v.r, {k + idx[2:]: x * c for k, x in local.coeffs.items()})
+        return out
+
+    monkeypatch.setattr(dualcheck, "apply_T", apply_T)
+    E1, T1 = partial(dualcheck.apply_E, 1), partial(dualcheck.apply_T, 1)
+    assert check_commuting_actions(2, 3, field).detail == "[E_1, T_1] at " + _first_residual(
+        field, 2, 3, lambda v: E1(T1(v)), lambda v: T1(E1(v)))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
+def test_support_failure_names_the_image(field, monkeypatch):
+    monkeypatch.setattr(dualcheck, "apply_T", lambda i, v: v.scale(field.q_power(1)))
+    quadratic = check_hecke_relations(2, 2, field)[0]
+    assert quadratic.detail == ("T_1^2 - (q - q^-1) T_1 - 1 at v[1,2]: image "
+                                f"{TensorVector.basis(field, 2, (1, 2)).scale(field.q_power(1))}"
+                                " is not on v[1,2] and v[2,1] with a nonzero v[2,1] term")
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])

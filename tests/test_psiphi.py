@@ -414,3 +414,27 @@ def test_specialized_field_construction():
             rec = build_c_pi(Walk(rows), field, 3)
             assert rec.vector == TensorVector(field, 3, len(rows), coeffs)
             assert is_maximal(rec.vector)
+
+
+def test_phi_clears_each_psi_element_once(monkeypatch):
+    # at q0 every phi clears its input vector, and each psi element only the
+    # first time any phi uses it
+    field = ScalarField.at(Fraction(3, 2))
+    psiphi._psi_cleared.cache_clear()
+    counts = {"clear": 0, "phi": 0}
+    real_clear, real_phi = ScalarField.clear, psiphi.phi
+
+    def clear(self, coeffs):
+        counts["clear"] += 1
+        return real_clear(self, coeffs)
+
+    def counted_phi(*args, **kwargs):
+        counts["phi"] += 1
+        return real_phi(*args, **kwargs)
+
+    monkeypatch.setattr(ScalarField, "clear", clear)
+    monkeypatch.setattr(psiphi, "phi", counted_phi)
+    records = maximal_basis(4, 5, field)
+    assert counts["phi"] == sum(len(rec.walk.rows) for rec in records)
+    assert counts["clear"] == counts["phi"] + psiphi._psi_cleared.cache_info().misses
+    assert psiphi._psi_cleared.cache_info().misses < counts["phi"]

@@ -2,7 +2,7 @@
 
 Each script runs as its own process against the same qtensor package the
 tests import, and must exit 0 with its success line; `stage_times.py` must
-also print one row per stage.
+also print one row per stage, and say when a row is a minimum over runs.
 """
 
 import os
@@ -25,6 +25,7 @@ PACKAGE_ROOT = str(Path(qtensor.__file__).resolve().parent.parent)
     ("specialization_sweep.py", ["--n", "2", "--r", "3"],
      "agreement between specialized pipeline and evaluated generic answers: True"),
     ("stage_times.py", ["--n", "2", "--r", "3"], "all stages passed"),
+    ("stage_times.py", ["--n", "2", "--r", "3", "--repeat", "2"], "all stages passed"),
 ])
 def test_script_smoke(script, args, expected):
     env = dict(os.environ)
@@ -36,6 +37,7 @@ def test_script_smoke(script, args, expected):
     assert proc.returncode == 0, proc.stderr
     assert expected in proc.stdout.splitlines()
     if script == "stage_times.py":
+        assert proc.stdout.splitlines()[0].endswith(", minimum of 2 runs") == ("--repeat" in args)
         rows = {line.split()[0] for line in proc.stdout.splitlines()[2:-1]}
         stages = [stage for stage, _ in verify_stages(2, 3, ScalarField.generic())]
         assert rows == {*stages, "Specht", "total"}
