@@ -426,7 +426,7 @@ class _Words:
     for the current basis vector v, memoised by suffix until ``start`` moves
     on to the next basis vector.  A generator may also be any key whose table
     is put in ``tables`` whole, such as a local form on V⊗V; ``forms`` keeps
-    the local forms read off the tables, for the suites that share them.
+    each T_i's two-site matrix for both suites that use it.
     """
 
     def __init__(self, field: ScalarField, n: int):
@@ -729,7 +729,7 @@ def check_commuting_actions(n: int, r: int, field: ScalarField, *,
     K_inv = {j: (_apply_K_inverse, j) for j in K}
     gens = [(f"{x}_{j}", (action, j)) for x, action in (("E", apply_E), ("F", apply_F), ("K~", apply_tK))
             for j in range(1, n)] + [(f"K_{j}", K[j]) for j in K]
-    forms = {gen: _coproduct_form(words, r, gen, gen[0] is apply_F) for _, gen in gens[:2 * n - 2] if T}
+    forms = {gen: _coproduct_form(words, r, gen, gen[0] is apply_F) for _, gen in gens[:2 * n - 2]} if T else {}
     lam = {gen: _eigenvalues(words, r, gen) for gen in [g for _, g in gens[2 * n - 2:]] + list(K_inv.values())}
     # the eigenvalues at each index of the diagonal generators among gens
     diagonal = dict(zip(_all_indices(n, r), zip(*[lam[g].values() for _, g in gens[2 * n - 2:] if lam[g]])))
