@@ -664,16 +664,16 @@ def _coproduct_form(words: _Words, r: int, gen, right: bool) -> tuple | None:
     the iterated coproduct of a one-site e with no diagonal entry (so the
     slots' terms never meet) and a diagonal K, else None.  e(a) is read off
     the image of (a, 1, ..., 1), and K(a) off the second slot's term in that
-    of (a, b, 1, ..., 1), for a b with e(b) nonzero; with ``right``, all is
-    mirrored (the last slots, K on the right)."""
+    of (a, b, 1, ..., 1), for a b with a nonzero coefficient in e(b); with
+    ``right``, all is mirrored (the last slots, K on the right)."""
     n, one, table = words.n, words.one, words.table(gen)
     letters, fill = range(1, n + 1), (1,) * (r - 1)
     flip = (lambda t: t[::-1]) if right else (lambda t: t)
     e = {a: {flip(k)[0]: c for k, c in table[flip((a,) + fill)].items() if flip(k)[1:] == fill} for a in letters}
-    b = next((b for b in letters if e[b]), None)
+    b, b2, c = next(((b, b2, c) for b in letters for b2, c in e[b].items() if c), (None,) * 3)
     if b is None or any(a in e[a] for a in letters):
         return None
-    (b2, c), rest = next(iter(e[b].items())), fill[1:]
+    rest = fill[1:]
     kappa = {a: words.share(x if c is one else x / c) for a in letters
              for x in [table[flip((a, b) + rest)].get(flip((a, b2) + rest), words.field.zero())]}
     if not all(image == table[idx] for idx, image in _coproduct_images(words, e, kappa, _all_indices(n, r), right)):
