@@ -94,7 +94,9 @@ def _parse_config(argv: list[str]) -> argparse.Namespace:
             # Fraction also reads exponents, and would spend seconds expanding 1e99999999
             raise ValueError("expected num[/den]")
         cfg.field = ScalarField.generic() if cfg.q0 is None else ScalarField.at(cfg.q0)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError:
+        raise _UsageError(f"bad --q0 value {cfg.q0!r}: zero denominator") from None
+    except ValueError as exc:
         raise _UsageError(f"bad --q0 value {cfg.q0!r}: {exc}") from None
     if cfg.n < 1:
         raise _UsageError("--n must be a positive integer")
@@ -125,13 +127,16 @@ def export_json(payload, path: str | None) -> str:
     return text
 
 
-def _emit(cfg: argparse.Namespace, text_lines: list[str], json_payload) -> None:
+def _emit(cfg: argparse.Namespace, text_lines, json_payload) -> None:
+    """Write the rendering asked for: ``text_lines`` and ``json_payload``
+    are functions that make the text lines and the JSON payload, and only
+    the one asked for is called."""
     if cfg.output == "json":
-        out = export_json(json_payload, cfg.out_path)
+        out = export_json(json_payload(), cfg.out_path)
         if cfg.out_path is None:
             sys.stdout.write(out)
     else:
-        body = "\n".join(text_lines) + "\n"
+        body = "\n".join(text_lines()) + "\n"
         if cfg.out_path is not None:
             _write(body, cfg.out_path)
         else:
@@ -139,133 +144,102 @@ def _emit(cfg: argparse.Namespace, text_lines: list[str], json_payload) -> None:
 
 
 def _cmd_walks(cfg: argparse.Namespace) -> int:
-    walks = enumerate_walks(cfg.n, cfg.r, cfg.shape)
-    rows = [list(w.rows) for w in walks]
-    _emit(cfg, [json.dumps(row, separators=(",", ":")) for row in rows], rows)
+    rows = [list(w.rows) for w in enumerate_walks(cfg.n, cfg.r, cfg.shape)]
+    _emit(cfg, lambda: [json.dumps(row, separators=(",", ":")) for row in rows], lambda: rows)
     return 0
 
 
 def _cmd_vectors(cfg: argparse.Namespace) -> int:
     records = dualcheck.maximal_basis(cfg.n, cfg.r, cfg.field, cfg.shape)
-    payload = [tensorspace.vector_to_json_dict(rec.vector) for rec in records]
-    lines = [
-        f"walk {rec.walk} -> shape {rec.weight}: {tensorspace.format_vector(rec.vector)}"
-        for rec in records
-    ]
-    _emit(cfg, lines, payload)
+    _emit(cfg, lambda: [f"walk {rec.walk} -> shape {rec.weight}: {tensorspace.format_vector(rec.vector)}"
+                        for rec in records],
+          lambda: [tensorspace.vector_to_json_dict(rec.vector) for rec in records])
     return 0
 
 
 def _cmd_psi(cfg: argparse.Namespace) -> int:
     if cfg.shape is None:
         raise _UsageError("psi needs --shape")
-    field = cfg.field
-    lines = []
-    payload = []
+    elements = []  # (j, psi_j, or None where it is undefined)
     for j in range(1, cfg.n):
         try:
-            el = psiphi.psi(j, cfg.shape, field)
-            lines.append(f"psi_{j}[{cfg.shape}] = {el}")
-            payload.append({
-                "j": j,
-                "terms": [
-                    {"word": list(w), "coeff": str(c)}
-                    for w, c in sorted(el.terms.items())
-                ],
-            })
+            elements.append((j, psiphi.psi(j, cfg.shape, cfg.field)))
         except psiphi.PsiUndefinedError:
-            lines.append(f"psi_{j}[{cfg.shape}] undefined (vanishing coroot pairing)")
-            payload.append({"j": j, "undefined": True})
-    _emit(cfg, lines, payload)
+            elements.append((j, None))
+    _emit(cfg, lambda: [f"psi_{j}[{cfg.shape}] = {el}" if el is not None else
+                        f"psi_{j}[{cfg.shape}] undefined (vanishing coroot pairing)" for j, el in elements],
+          lambda: [{"j": j, "terms": [{"word": list(w), "coeff": str(c)} for w, c in sorted(el.terms.items())]}
+                   if el is not None else {"j": j, "undefined": True} for j, el in elements])
     return 0
 
 
 def _cmd_verify(cfg: argparse.Namespace) -> int:
     report = dualcheck.verify_suite(cfg.n, cfg.r, cfg.field)
-    lines = [
+    _emit(cfg, lambda: [
         f"[{'PASS' if c.ok else 'FAIL'}] {c.name}" + (f" ({c.detail})" if c.detail else "")
         for c in report.checks
-    ]
-    lines.append(f"verify n={cfg.n} r={cfg.r}: {'all checks passed' if report.ok else 'FAILURES PRESENT'}")
-    _emit(cfg, lines, report.to_json_dict())
+    ] + [f"verify n={cfg.n} r={cfg.r}: {'all checks passed' if report.ok else 'FAILURES PRESENT'}"],
+        report.to_json_dict)
     return 0 if report.ok else 1
 
 
 def _cmd_norms(cfg: argparse.Namespace) -> int:
     field = cfg.field
-    records = dualcheck.maximal_basis(cfg.n, cfg.r, field, cfg.shape)
-    ok = True
-    lines = []
-    payload = []
-    for rec in records:
-        predicted = dualcheck.norm_predict(rec.walk, field)
-        computed = tensorspace.bilinear(rec.vector, rec.vector)
-        match = predicted == computed
-        ok = ok and match
-        lines.append(
-            f"walk {rec.walk}: norm {computed} "
-            f"({'matches' if match else 'DISAGREES WITH'} closed form)")
-        payload.append({
-            "walk": list(rec.walk.rows),
-            "predicted": str(predicted),
-            "computed": str(computed),
-            "match": match,
-        })
-    _emit(cfg, lines, payload)
-    return 0 if ok else 1
+    rows = []  # (walk, predicted, computed, whether they match)
+    for rec in dualcheck.maximal_basis(cfg.n, cfg.r, field, cfg.shape):
+        predicted, computed = dualcheck.norm_predict(rec.walk, field), tensorspace.bilinear(rec.vector, rec.vector)
+        rows.append((rec.walk, predicted, computed, predicted == computed))
+    _emit(cfg, lambda: [f"walk {walk}: norm {computed} ({'matches' if match else 'DISAGREES WITH'} closed form)"
+                        for walk, _, computed, match in rows],
+          lambda: [{"walk": list(walk.rows), "predicted": str(predicted), "computed": str(computed), "match": match}
+                   for walk, predicted, computed, match in rows])
+    return 0 if all(row[3] for row in rows) else 1
+
+
+def _specht_lines(lam, data) -> list[str]:
+    if isinstance(data, Exception):
+        return [f"shape {lam}: FAIL ({data})"]
+    size = len(data.basis)
+    lines = [f"shape {lam}: {size}x{size} matrices for {len(data.t_matrices)} generators"]
+    for i, mat in enumerate(data.t_matrices, start=1):
+        for row_idx, row in enumerate(mat):
+            rendered = ", ".join(str(c) for c in row)
+            lines.append(f"  T_{i} row {row_idx}: [{rendered}]")
+    return lines
 
 
 def _cmd_specht(cfg: argparse.Namespace) -> int:
-    field = cfg.field
-    shapes = [cfg.shape] if cfg.shape is not None else list(partitions_in(cfg.n, cfg.r))
-    lines = []
-    payload = []
-    status = 0
-    for lam in shapes:
+    results = []  # (shape, SpechtData or the SpechtConsistencyError)
+    for lam in [cfg.shape] if cfg.shape is not None else partitions_in(cfg.n, cfg.r):
         try:
-            data = dualcheck.specht_matrices(lam, cfg.n, cfg.r, field)
+            results.append((lam, dualcheck.specht_matrices(lam, cfg.n, cfg.r, cfg.field)))
         except dualcheck.SpechtConsistencyError as exc:
-            lines.append(f"shape {lam}: FAIL ({exc})")
-            status = 1
-            continue
-        size = len(data.basis)
-        lines.append(f"shape {lam}: {size}x{size} matrices for {len(data.t_matrices)} generators")
-        for i, mat in enumerate(data.t_matrices, start=1):
-            for row_idx, row in enumerate(mat):
-                rendered = ", ".join(str(c) for c in row)
-                lines.append(f"  T_{i} row {row_idx}: [{rendered}]")
-        payload.append({
-            "shape": list(lam.parts),
-            "size": size,
-            "gram_diagonal": [str(c) for c in data.gram_diagonal],
-            "t_matrices": [
-                [[str(c) for c in row] for row in mat]
-                for mat in data.t_matrices
-            ],
-        })
-    _emit(cfg, lines, payload)
-    return status
+            results.append((lam, exc))
+    _emit(cfg, lambda: [line for lam, data in results for line in _specht_lines(lam, data)],
+          lambda: [{
+              "shape": list(lam.parts),
+              "size": len(data.basis),
+              "gram_diagonal": [str(c) for c in data.gram_diagonal],
+              "t_matrices": [[[str(c) for c in row] for row in mat] for mat in data.t_matrices],
+          } for lam, data in results if not isinstance(data, Exception)])
+    return 1 if any(isinstance(data, Exception) for _, data in results) else 0
 
 
 def _cmd_decompose(cfg: argparse.Namespace) -> int:
     report = dualcheck.decomposition_report(cfg.n, cfg.r, cfg.field)
-    lines = [f"tensor power {cfg.n}^{cfg.r} = {report.total}"]
-    for row in report.rows:
-        lines.append(
-            f"  shape {row.shape}: dim {row.weyl_dim} x multiplicity {row.f} "
-            f"({row.walks} walks, maximal={row.all_maximal}, orthogonal={row.gram_diagonal})")
-    lines.append(f"identity: {'holds' if report.identity_ok else 'FAILS'}")
-    _emit(cfg, lines, report.to_json_dict())
+    _emit(cfg, lambda: [f"tensor power {cfg.n}^{cfg.r} = {report.total}"] + [
+        f"  shape {row.shape}: dim {row.weyl_dim} x multiplicity {row.f} "
+        f"({row.walks} walks, maximal={row.all_maximal}, orthogonal={row.gram_diagonal})"
+        for row in report.rows
+    ] + [f"identity: {'holds' if report.identity_ok else 'FAILS'}"], report.to_json_dict)
     return 0 if report.identity_ok else 1
 
 
 def _cmd_invariants(cfg: argparse.Namespace) -> int:
     records = dualcheck.invariants_basis(cfg.n, cfg.r, cfg.field)
-    lines = [f"{len(records)} invariant vector(s) in degree {cfg.r} over {cfg.n} letters"]
-    for rec in records:
-        lines.append(f"walk {rec.walk}: {tensorspace.format_vector(rec.vector)}")
-    payload = [tensorspace.vector_to_json_dict(rec.vector) for rec in records]
-    _emit(cfg, lines, payload)
+    _emit(cfg, lambda: [f"{len(records)} invariant vector(s) in degree {cfg.r} over {cfg.n} letters"] + [
+        f"walk {rec.walk}: {tensorspace.format_vector(rec.vector)}" for rec in records
+    ], lambda: [tensorspace.vector_to_json_dict(rec.vector) for rec in records])
     return 0
 
 

@@ -12,8 +12,45 @@ to one common denominator (``ScalarField.clear``) and pair the numerators in
 the ring (``ScalarField.pair``), so each entry is normalized once and a
 vanishing entry not at all.
 
-Relation suites.  The U1-U7 suite checks only the weakly increasing index
-tuples, one per letter content.  That suffices, and is exact, because:
+Relation suites.  All three check each generator's local form on all n^r
+index vectors, by table lookup, and then decide their relations on V, V⊗V
+or V⊗V⊗V (Jimbo 1986):
+
+- premises: T_i is one two-site matrix R^(i) on slots (i, i+1), read off its
+  own table; K~_j is diagonal; E_j is the iterated coproduct of a one-site
+  e_j without diagonal entries and a diagonal grouplike kappa_j, both read
+  off E_j's own table (F_j mirrored: f_j, with kappa'_j on the right); K_j is
+  c_j k_j⊗...⊗k_j with k_j(j mod n + 1) = 1, and K_j^-1 likewise
+  c'_j k'_j⊗...⊗k'_j; and, for U1-U7 only, c_j c'_j = 1 and kappa_j =
+  k_j k_{j+1}^-1 = q^(δ(a,j) - δ(a,j+1)) at each letter a, kappa'_j its
+  inverse;
+- U1-U7 (r > 1) hold on V^{⊗r} when they hold on V for e_j, f_j, k_j and
+  k'_j.  U1 and U3 follow slot by slot (c_j cancels in U3, c_j c'_j = 1 in
+  U1).  For U2 and U4-U7, e_j, f_j and kappa_j^{±1} are then a
+  representation of U_q(sl_n) on V (kappa_i conjugates e_j to q^(a_ij) e_j
+  because k_i and k_{i+1} do, by U3 on V); Δ(E) = E⊗1 + K~⊗E, Δ(F) =
+  F⊗K~^-1 + 1⊗F, Δ(K~) = K~⊗K~ is an algebra map (Jantzen 1996, ch. 3-4), so
+  its iterate carries the relations to V^{⊗r}, where it gives E_j and F_j,
+  and (K~_j - K~_j^-1)/(q - q^-1) acts as U2's [m_j - m_{j+1}].  For
+  r <= 1, U1-U7 are decided on the tensor power's own tables;
+- Hecke and commuting lemmas: the quadratic row, with its support check, is
+  R^(i)'s on V⊗V; the braid row is R^(i)_12 R^(i+1)_23 R^(i)_12 =
+  R^(i+1)_23 R^(i)_12 R^(i+1)_23 on V⊗V⊗V; far commutation follows from
+  disjoint slots; a diagonal generator commutes with T_i at idx when its
+  eigenvalue is the same on idx and every key of T_i v_idx, and K_j^-1
+  inverts K_j when their eigenvalues multiply to one; [E_j, T_i] = 0 when
+  [Δ(E_j), R^(i)] = 0 on V⊗V and, if i < r-1, [kappa_j⊗kappa_j, R^(i)] = 0
+  (for F_j: if i > 1);
+- fallback: a (relation, generator, i) pair that no lemma proves, because a
+  premise or the local check fails, is decided by comparing words: on all
+  n^r vectors, as the exhaustive suite does it, and for U1-U7 on the weakly
+  increasing index tuples only, one per letter content.  Only the local ⇒
+  global direction of each lemma is used, so every verdict is the
+  exhaustive one, and a failing row's ``detail`` names its first failing
+  pair at its first failing index, with the residual.
+
+The U1-U7 fallback on the sorted tuples is complete only together with the
+other two suites, as ``verify_suite`` runs them, because:
 
 - the Hecke suite checks that T_i v_idx is supported on idx and s_i idx with
   a nonzero coefficient on s_i idx, so every v_idx is a combination of
@@ -26,29 +63,6 @@ tuples, one per letter content.  That suffices, and is exact, because:
   function of letter content, which the support condition makes T_i keep);
 - an operator that commutes with the T_i and kills the generators kills
   everything.
-
-So ``check_quantum_relations`` alone is complete only together with the
-other two suites, as ``verify_suite`` runs them.  Those two hold on all n^r
-index vectors, but they check each generator's local form there, by table
-lookup, and then decide most relations on V⊗V or V⊗V⊗V (Jimbo 1986):
-
-- premises: T_i is one two-site matrix R^(i) on slots (i, i+1), read off its
-  own table; K_j and K~_j are diagonal; E_j is the iterated coproduct of a
-  one-site e without diagonal entries and a diagonal K, both read off E_j's
-  own table (F_j mirrored, K on the right);
-- lemmas: the quadratic row, with its support check, is R^(i)'s on V⊗V; the
-  braid row is R^(i)_12 R^(i+1)_23 R^(i)_12 = R^(i+1)_23 R^(i)_12 R^(i+1)_23
-  on V⊗V⊗V; far commutation follows from disjoint slots; a diagonal
-  generator commutes with T_i at idx when its eigenvalue is the same on idx
-  and every key of T_i v_idx, and K_j^-1 inverts K_j when their eigenvalues
-  multiply to one; [E_j, T_i] = 0 when [Δ(E_j), R^(i)] = 0 on V⊗V and, if
-  i < r-1, [K⊗K, R^(i)] = 0 (for F_j: if i > 1);
-- fallback: a (relation, generator, i) pair that no lemma proves, because a
-  premise or the local check fails, is decided as the exhaustive suite does
-  it, by comparing words on all n^r vectors.  Only that direction of each
-  lemma is used, so every verdict is the exhaustive one, and a failing row's
-  ``detail`` names its first failing pair at its first failing index, with
-  the residual.
 
 Each generator's image of each basis vector is computed once by the tensor
 action itself (looked up in this module when the suite runs, so a replaced
@@ -426,7 +440,7 @@ class _Words:
     for the current basis vector v, memoised by suffix until ``start`` moves
     on to the next basis vector.  A generator may also be any key whose table
     is put in ``tables`` whole, such as a local form on V⊗V; ``forms`` keeps
-    each T_i's two-site matrix for both suites that use it.
+    each generator's local form (``_cached``) for every suite that uses it.
     """
 
     def __init__(self, field: ScalarField, n: int):
@@ -478,74 +492,72 @@ def _vec(idx: tuple[int, ...]) -> str:
 def check_quantum_relations(n: int, r: int, field: ScalarField, *,
                             words: _Words | None = None) -> list[CheckResult]:
     """Defining relations of the quantized algebra as operator identities on
-    the sorted index basis vectors of the degree-r tensor power.
+    the degree-r tensor power.
 
-    These vectors generate the tensor power as a module over the
-    transposition generators, so a relation that holds on them holds
-    everywhere, provided every generator commutes with every T_i and the
-    T_i act as the Hecke suite checks.  Alone this suite is therefore not
-    complete: it proves the relations only together with
+    For r > 1 they are decided on V, through the coproduct, when the
+    generators have their one-site forms (``_one_site``), and for r <= 1 on
+    the tensor power's own tables.  Otherwise each row compares words on the
+    sorted index vectors only, which is complete only together with
     ``check_hecke_relations`` and ``check_commuting_actions``, as run by
-    ``verify_suite``.  ``words`` shares tabulated images with those suites.
+    ``verify_suite`` (module docstring).  ``words`` shares tabulated images
+    and local forms with those suites.
     """
     if words is None:
         words = _Words(field, n)
-    E = {i: (apply_E, i) for i in range(1, n)}
-    F = {i: (apply_F, i) for i in range(1, n)}
-    K = {i: (apply_K, i) for i in range(1, n + 1)}
-    K_inv = {i: (_apply_K_inverse, i) for i in range(1, n + 1)}
-    serre_coeff = field.q_power(1) + field.q_power(-1)
-    one = words.one
-    q_shift = {-1: field.q_power(-1), 0: one, 1: field.q_power(1)}
+    local = _one_site(words, r) if r > 1 else _Words(field, n)
+    proved = local is not None and all(
+        _scan(local, _all_indices(n, min(r, 1)), fails) is None
+        for _, pairs in _quantum_rows(local) for _, fails in pairs)
+    return [_decide(words, r, name, ((label, proved, fails) for label, fails in pairs), _sorted_indices)
+            for name, pairs in _quantum_rows(words)]
+
+
+def _quantum_rows(words: _Words) -> list[tuple[str, list]]:
+    """U1-U7 on the generators of ``words`` as (row name, [(label, fails)]),
+    each row's pairs in witness order."""
+    n, one, q = words.n, words.one, words.field.q_power
+    G = {"E": {i: (apply_E, i) for i in range(1, n)}, "F": {i: (apply_F, i) for i in range(1, n)},
+         "K": {i: (apply_K, i) for i in range(1, n + 1)}}
+    E, F, K = G["E"], G["F"], G["K"]
+    near = [(i, j) for i in E for j in E if abs(i - j) == 1]
+    far = [(i, j) for i in E for j in E if j > i + 1]
+
+    def sums(lhs, rhs):
+        side = lambda terms: lincomb([(s, words(*w)) for s, w in terms], one)
+        return lambda idx, v: words.residual(idx, side(lhs), side(rhs))
+
+    def commutator(i, j):
+        def fails(idx, v):
+            rhs = words(F[j], E[i])
+            if i == j:  # the balanced q-integer of the content difference
+                rhs = lincomb([(one, rhs), (words.field.qint(idx.count(i) - idx.count(i + 1)), v)], one)
+            return words.residual(idx, words(E[i], F[j]), rhs)
+
+        return f"[E_{i}, F_{j}]" + (f" - [m_{i} - m_{i + 1}]" if i == j else ""), fails
+
+    def conjugation(i, X, j, h):
+        return (f"K_{i} {X}_{j} - {('q^-1 ', '', 'q ')[h + 1]}{X}_{j} K_{i}",
+                sums([(one, (K[i], G[X][j]))], [(q(h), (G[X][j], K[i]))]))
 
     def serre(X, i, j):
-        return (lincomb([(one, words(X[i], X[i], X[j])), (one, words(X[j], X[i], X[i]))], one)
-                == lincomb([(serre_coeff, words(X[i], X[j], X[i]))], one))
+        Xi, Xj = G[X][i], G[X][j]
+        return (f"{X}_{i}^2 {X}_{j} - (q + q^-1) {X}_{i} {X}_{j} {X}_{i} + {X}_{j} {X}_{i}^2",
+                sums([(one, (Xi, Xi, Xj)), (one, (Xj, Xi, Xi))], [(q(1) + q(-1), (Xi, Xj, Xi))]))
 
-    ok_u1 = ok_u2 = ok_u3 = True
-    ok_serre_e = ok_serre_f = ok_far_e = ok_far_f = True
-    for idx in _sorted_indices(n, r):
-        v = words.start(idx)
-        for i in range(1, n + 1):
-            if words(K[i], K_inv[i]) != v:
-                ok_u1 = False
-            for j in range(1, n + 1):
-                if words(K[i], K[j]) != words(K[j], K[i]):
-                    ok_u1 = False
-        for i in range(1, n):
-            for j in range(1, n):
-                rhs = words(F[j], E[i])
-                if i == j:
-                    rhs = lincomb([(one, rhs), (field.qint(idx.count(i) - idx.count(i + 1)), v)], one)
-                if words(E[i], F[j]) != rhs:
-                    ok_u2 = False
-        for i in range(1, n + 1):
-            for j in range(1, n):
-                h = (1 if i == j else 0) - (1 if i == j + 1 else 0)
-                if words(K[i], E[j]) != lincomb([(q_shift[h], words(E[j], K[i]))], one):
-                    ok_u3 = False
-                if words(K[i], F[j]) != lincomb([(q_shift[-h], words(F[j], K[i]))], one):
-                    ok_u3 = False
-        for i in range(1, n):
-            for j in range(1, n):
-                if abs(i - j) == 1:
-                    if not serre(E, i, j):
-                        ok_serre_e = False
-                    if not serre(F, i, j):
-                        ok_serre_f = False
-                elif abs(i - j) > 1:
-                    if words(E[i], E[j]) != words(E[j], E[i]):
-                        ok_far_e = False
-                    if words(F[i], F[j]) != words(F[j], F[i]):
-                        ok_far_f = False
+    def commute(X, i, j):
+        return f"[{X}_{i}, {X}_{j}]", _equal(words, (G[X][i], G[X][j]), (G[X][j], G[X][i]))
+
     return [
-        CheckResult("U1 grouplike commute/invert", ok_u1),
-        CheckResult("U2 raise/lower commutator", ok_u2),
-        CheckResult("U3 grouplike conjugation", ok_u3),
-        CheckResult("U4 raising Serre", ok_serre_e),
-        CheckResult("U5 raising far commutation", ok_far_e),
-        CheckResult("U6 lowering Serre", ok_serre_f),
-        CheckResult("U7 lowering far commutation", ok_far_f),
+        ("U1 grouplike commute/invert",
+         [(f"K_{i} K_{i}^-1 - 1", _equal(words, (K[i], (_apply_K_inverse, i)), ())) for i in K]
+         + [commute("K", i, j) for i in K for j in K if i < j]),
+        ("U2 raise/lower commutator", [commutator(i, j) for i in E for j in E]),
+        ("U3 grouplike conjugation",
+         [conjugation(i, X, j, s * ((i == j) - (i == j + 1))) for i in K for j in E for X, s in (("E", 1), ("F", -1))]),
+        ("U4 raising Serre", [serre("E", i, j) for i, j in near]),
+        ("U5 raising far commutation", [commute("E", i, j) for i, j in far]),
+        ("U6 lowering Serre", [serre("F", i, j) for i, j in near]),
+        ("U7 lowering far commutation", [commute("F", i, j) for i, j in far]),
     ]
 
 
@@ -587,14 +599,15 @@ def _locally(words: _Words, rank: int, tables: dict, relation) -> bool:
     return _scan(local, _all_indices(words.n, rank), relation(local)) is None
 
 
-def _decide(words: _Words, r: int, name: str, pairs) -> CheckResult:
+def _decide(words: _Words, r: int, name: str, pairs, indices=_all_indices) -> CheckResult:
     """One row from (label, holds, fails) triples in witness order.  A pair
     whose local lemma ``holds`` is proved; any other is decided by ``fails``
-    on every basis vector, as the exhaustive suite does.  The row's witness
-    is its first failing pair at the first failing index."""
+    on every basis vector (or on ``indices(n, r)``), as the exhaustive suite
+    does.  The row's witness is its first failing pair at the first failing
+    index."""
     for label, holds, fails in pairs:
         if not holds:
-            found = _scan(words, _all_indices(words.n, r), fails)
+            found = _scan(words, indices(words.n, r), fails)
             if found:
                 return CheckResult(name, False, f"{label} at {_vec(found[0])}: {found[1]}")
     return CheckResult(name, True)
@@ -606,25 +619,37 @@ def _on_slots(R: dict, n: int, rank: int, s: int) -> dict:
             for k in _all_indices(n, rank)}
 
 
+def _cached(form):
+    """``form(words, r, gen, ...)``, computed once per generator and kept in
+    ``words.forms`` for every suite that asks for it."""
+
+    @functools.wraps(form)
+    def cached(words: _Words, r: int, gen, *args):
+        key = (form.__name__, gen)
+        if key not in words.forms:
+            words.forms[key] = form(words, r, gen, *args)
+        return words.forms[key]
+
+    return cached
+
+
+@_cached
 def _two_site(words: _Words, r: int, t) -> dict | None:
     """R^(i) for t = T_i: the table on V⊗V read off T_i's images of the
     indices whose letters off slots (i, i+1) are 1, or None unless every
-    T_i v_idx is R^(i) on those slots and the identity elsewhere.  Kept in
-    ``words.forms``."""
-    if t not in words.forms:
-        table, i, R = words.table(t), t[1], {}
-        for idx in _all_indices(words.n, r):
-            head, ab, tail = idx[:i - 1], idx[i - 1:i + 1], idx[i + 1:]
-            local = R.get(ab)
-            if local is None:
-                local = R[ab] = {k[i - 1:i + 1]: c for k, c in table[idx].items()}
-            if {head + cd + tail: c for cd, c in local.items()} != table[idx]:
-                R = None
-                break
-        words.forms[t] = R
-    return words.forms[t]
+    T_i v_idx is R^(i) on those slots and the identity elsewhere."""
+    table, i, R = words.table(t), t[1], {}
+    for idx in _all_indices(words.n, r):
+        head, ab, tail = idx[:i - 1], idx[i - 1:i + 1], idx[i + 1:]
+        local = R.get(ab)
+        if local is None:
+            local = R[ab] = {k[i - 1:i + 1]: c for k, c in table[idx].items()}
+        if {head + cd + tail: c for cd, c in local.items()} != table[idx]:
+            return None
+    return R
 
 
+@_cached
 def _eigenvalues(words: _Words, r: int, gen) -> dict | None:
     """gen's eigenvalue at each index, or None unless gen is diagonal."""
     table, zero, lam = words.table(gen), words.field.zero(), {}
@@ -636,19 +661,26 @@ def _eigenvalues(words: _Words, r: int, gen) -> dict | None:
     return lam
 
 
-def _coproduct_images(words: _Words, e: dict, kappa: dict, indices, right: bool):
-    """(idx, image) of the sum over slots s of the one-site e on slot s and
-    the diagonal kappa on every slot left of s (right of s, if ``right``):
-    the iterated coproduct of E_j (of F_j, with K~_j^-1 for kappa)."""
-    one, prod = words.one, {(): words.one}
+def _products(words: _Words, k: dict, start):
+    """The function t -> start * k(t_1) * ... * k(t_m) on tuples of letters,
+    memoised by prefix; products are shared."""
+    one, prod = words.one, {(): start}
 
     def product(t):
         p = prod.get(t)
         if p is None:
-            x, y = product(t[:-1]), kappa[t[-1]]
-            p = prod[t] = words.share(y if x is one else x if y is one else x * y)
+            x, y = product(t[:-1]), k[t[-1]]
+            p = prod[t] = y if x is one else x if y is one else words.share(x * y)
         return p
 
+    return product
+
+
+def _coproduct_images(words: _Words, e: dict, kappa: dict, indices, right: bool):
+    """(idx, image) of the sum over slots s of the one-site e on slot s and
+    the diagonal kappa on every slot left of s (right of s, if ``right``):
+    the iterated coproduct of E_j (of F_j, with K~_j^-1 for kappa)."""
+    one, product = words.one, _products(words, kappa, words.one)
     for idx in indices:
         image = {}
         for s, a in enumerate(idx):
@@ -659,13 +691,15 @@ def _coproduct_images(words: _Words, e: dict, kappa: dict, indices, right: bool)
         yield idx, image
 
 
+@_cached
 def _coproduct_form(words: _Words, r: int, gen, right: bool) -> tuple | None:
-    """(Δ(gen), K⊗K) on V⊗V, if gen's table on all n^r vectors (r > 1) is
+    """The one-site (e, kappa), if gen's table on all n^r vectors (r > 1) is
     the iterated coproduct of a one-site e with no diagonal entry (so the
-    slots' terms never meet) and a diagonal K, else None.  e(a) is read off
-    the image of (a, 1, ..., 1), and K(a) off the second slot's term in that
-    of (a, b, 1, ..., 1), for a b with a nonzero coefficient in e(b); with
-    ``right``, all is mirrored (the last slots, K on the right)."""
+    slots' terms never meet) and a diagonal grouplike kappa, else None.  e(a)
+    is read off the image of (a, 1, ..., 1), and kappa(a) off the second
+    slot's term in that of (a, b, 1, ..., 1), for a b with a nonzero
+    coefficient in e(b); with ``right``, all is mirrored (the last slots,
+    kappa on the right)."""
     n, one, table = words.n, words.one, words.table(gen)
     letters, fill = range(1, n + 1), (1,) * (r - 1)
     flip = (lambda t: t[::-1]) if right else (lambda t: t)
@@ -678,8 +712,47 @@ def _coproduct_form(words: _Words, r: int, gen, right: bool) -> tuple | None:
              for x in [table[flip((a, b) + rest)].get(flip((a, b2) + rest), words.field.zero())]}
     if not all(image == table[idx] for idx, image in _coproduct_images(words, e, kappa, _all_indices(n, r), right)):
         return None
-    return (dict(_coproduct_images(words, e, kappa, _all_indices(n, 2), right)),
-            {(a, b): {(a, b): kappa[a] * kappa[b]} for a in letters for b in letters})
+    return e, kappa
+
+
+def _tensor_power(words: _Words, r: int, gen) -> tuple | None:
+    """(c, k), if gen = (action, j) is diagonal and its table on all n^r
+    vectors is c k⊗...⊗k for a one-site k with k(b) = 1, where b = j mod n + 1
+    (so for the true K_j and n > 1, c = 1 and k(a) = q^δ(a,j)), else None."""
+    lam, b = _eigenvalues(words, r, gen), (gen[1] % words.n + 1,)
+    c = lam and lam[b * r]
+    if not c:
+        return None
+    k = {a: words.share(lam[(a,) + b * (r - 1)] / c) for a in range(1, words.n + 1)}
+    product = _products(words, k, c)
+    return (c, k) if {idx: product(idx) for idx in lam} == lam else None
+
+
+def _one_site(words: _Words, r: int) -> _Words | None:
+    """The one-site forms of E_j, F_j, K_j and K_j^-1 on V, as tables on the
+    1-tuples of a new `_Words` under the same keys, if every premise of the
+    quantum suite holds on all n^r vectors (r > 1; module docstring), else
+    None."""
+    n, field = words.n, words.field
+    letters = range(1, n + 1)
+    local, k = _Words(field, n), {}
+    for j in letters:
+        forms = [_tensor_power(words, r, (action, j)) for action in (apply_K, _apply_K_inverse)]
+        if None in forms or forms[0][0] * forms[1][0] != words.one:
+            return None
+        k[j] = forms[0][1]
+        for action, (_, one_site) in zip((apply_K, _apply_K_inverse), forms):
+            local.tables[action, j] = {(a,): {(a,): x} for a, x in one_site.items()}
+    for j in range(1, n):
+        h = {a: (a == j) - (a == j + 1) for a in letters}
+        if any(field.q_power(h[a]) * k[j + 1][a] != k[j][a] for a in letters):
+            return None
+        for action, sign in ((apply_E, 1), (apply_F, -1)):
+            form = _coproduct_form(words, r, (action, j), sign < 0)
+            if form is None or form[1] != {a: field.q_power(sign * h[a]) for a in letters}:
+                return None
+            local.tables[action, j] = {(a,): {(b,): x for b, x in form[0][a].items()} for a in letters}
+    return local
 
 
 def check_hecke_relations(n: int, r: int, field: ScalarField, *,
@@ -729,7 +802,13 @@ def check_commuting_actions(n: int, r: int, field: ScalarField, *,
     K_inv = {j: (_apply_K_inverse, j) for j in K}
     gens = [(f"{x}_{j}", (action, j)) for x, action in (("E", apply_E), ("F", apply_F), ("K~", apply_tK))
             for j in range(1, n)] + [(f"K_{j}", K[j]) for j in K]
-    forms = {gen: _coproduct_form(words, r, gen, gen[0] is apply_F) for _, gen in gens[:2 * n - 2]} if T else {}
+    indices2, forms = list(_all_indices(n, 2)), {}
+    for _, gen in gens[:2 * n - 2] if T else ():
+        # (Δ(gen), K⊗K) on V⊗V
+        form = forms[gen] = _coproduct_form(words, r, gen, gen[0] is apply_F)
+        if form:
+            forms[gen] = (dict(_coproduct_images(words, *form, indices2, gen[0] is apply_F)),
+                          {ab: {ab: form[1][ab[0]] * form[1][ab[1]]} for ab in indices2})
     lam = {gen: _eigenvalues(words, r, gen) for gen in [g for _, g in gens[2 * n - 2:]] + list(K_inv.values())}
     # the eigenvalues at each index of the diagonal generators among gens
     diagonal = dict(zip(_all_indices(n, r), zip(*[lam[g].values() for _, g in gens[2 * n - 2:] if lam[g]])))

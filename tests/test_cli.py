@@ -80,13 +80,18 @@ def test_verify_ok(capsys):
         assert token in out
 
 
-def test_verify_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("QTENSOR_THREADS", "2")
-    status, out, _ = run(["verify", "--n", "2", "--r", "3"], capsys)
-    assert status == 0 and "all checks passed" in out
-    monkeypatch.setenv("QTENSOR_THREADS", "0")  # auto
-    status, _, _ = run(["verify", "--n", "2", "--r", "2"], capsys)
-    assert status == 0
+def test_verify_threads_env():
+    # nothing reads QTENSOR_THREADS: verify's stdout is the same byte for byte
+    # with it set to 2, set to 0, or unset
+    env = {k: v for k, v in os.environ.items() if k != "QTENSOR_THREADS"}
+    outputs = []
+    for value in ("2", "0", None):
+        proc = subprocess.run([sys.executable, "-m", "qtensor.cli", "verify", "--n", "2", "--r", "3"],
+                              capture_output=True, timeout=60,
+                              env={**env, "PYTHONPATH": str(SRC), **({"QTENSOR_THREADS": value} if value else {})})
+        assert proc.returncode == 0 and b"all checks passed" in proc.stdout
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_verify_detects_corruption(capsys, monkeypatch):
@@ -105,12 +110,29 @@ def test_verify_detects_corruption(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("command", ["vectors", "invariants"])
+def test_only_the_requested_rendering_is_made(command, capsys, monkeypatch):
+    # the text lines of a JSON run (and the payload of a text run) are never built
+    def unused(*args):
+        raise AssertionError("rendering that was not asked for")
+
+    base = [command, "--n", "2", "--r", "2"]
+    expected = {output: run(base + ["--output", output], capsys) for output in ("text", "json")}
+    monkeypatch.setattr(cli.tensorspace, "format_vector", unused)
+    assert run(base + ["--output", "json"], capsys) == expected["json"]
+    monkeypatch.undo()
+    monkeypatch.setattr(cli.tensorspace, "vector_to_json_dict", unused)
+    assert run(base + ["--output", "text"], capsys) == expected["text"]
+
+
 def test_usage_errors(capsys):
     assert run(["frobnicate", "--n", "2"], capsys)[0] == 2
     assert run(["walks"], capsys)[0] == 2
     assert run(["walks", "--n", "2", "--r", "-1"], capsys)[0] == 2
     status, _, err = run(["verify", "--n", "2", "--r", "2", "--q0", "1"], capsys)
     assert status == 2 and "q0" in err
+    status, out, err = run(["verify", "--n", "2", "--r", "2", "--q0", "1/0"], capsys)
+    assert status == 2 and out == "" and err.startswith("error: bad --q0 value '1/0': zero denominator\n")
     assert run(["verify", "--n", "2", "--r", "2", "--q0", "x"], capsys)[0] == 2
     assert run(["psi", "--n", "3"], capsys)[0] == 2  # psi needs --shape
 

@@ -5,7 +5,7 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtensor import dualcheck
+from qtensor import dualcheck, tensorspace
 from qtensor.coeff import ScalarField, specialize
 from qtensor.combinatorics import Partition, Walk, a_const, c_const, d_const, enumerate_walks, partitions_in
 from qtensor.dualcheck import (
@@ -362,6 +362,13 @@ def _quantum_ok(n, r, field):
     return all(c.ok for c in check_quantum_relations(n, r, field))
 
 
+def _quantum_verdicts(n, r, field):
+    """{U1..U7: verdict} of the quantum suite, keyed as the oracle's."""
+    rows = check_quantum_relations(n, r, field)
+    assert all(c.detail == "" for c in rows if c.ok)
+    return {c.name.split()[0]: c.ok for c in rows}
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
 def test_sorted_tuples_give_the_exhaustive_verdicts(field):
     for n, r in [(1, 3), (2, 4), (3, 3), (4, 2)]:
@@ -397,10 +404,11 @@ def test_mutation_parity_of_the_reduced_battery(n, r, field, monkeypatch):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
-@pytest.mark.parametrize("n,r", [(1, 3), (2, 2), (2, 4), (3, 3), (4, 3), (3, 1)])
+@pytest.mark.parametrize("n,r", [(1, 3), (2, 2), (2, 4), (3, 3), (4, 3), (3, 1), (3, 0)])
 def test_local_suites_pass_without_a_scan(n, r, field, monkeypatch):
     # the true actions meet every premise and every local lemma, so no pair
-    # falls back to comparing words on all n^r vectors
+    # falls back to comparing words on the n^r vectors (or, for U1-U7, on the
+    # sorted ones)
     words, scan, fallbacks = dualcheck._Words(field, n), dualcheck._scan, []
 
     def spy(w, indices, fails):
@@ -408,16 +416,18 @@ def test_local_suites_pass_without_a_scan(n, r, field, monkeypatch):
         return scan(w, indices, fails)
 
     monkeypatch.setattr(dualcheck, "_scan", spy)
-    rows = check_hecke_relations(n, r, field, words=words) + [check_commuting_actions(n, r, field, words=words)]
-    assert [(c.ok, c.detail) for c in rows] == [(True, "")] * 4 and fallbacks == []
+    rows = (check_quantum_relations(n, r, field, words=words) + check_hecke_relations(n, r, field, words=words)
+            + [check_commuting_actions(n, r, field, words=words)])
+    assert [(c.ok, c.detail) for c in rows] == [(True, "")] * 11 and fallbacks == []
     assert all(_exhaustive_rows(n, r, field).values())
+    assert all(exhaustive_quantum_relations(n, r, field).values())
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
 @pytest.mark.parametrize("n,r", [(3, 3), (2, 4)])
 def test_local_suites_give_the_exhaustive_verdicts_under_skews(n, r, field, monkeypatch):
-    """The single-site skews of the parity sweep: every row of the Hecke and
-    commuting suites equals the exhaustive oracle's."""
+    """The single-site skews of the parity sweep: every row of the quantum,
+    Hecke and commuting suites equals the exhaustive oracle's."""
     failing = 0
     for name in ("apply_E", "apply_F", "apply_K", "apply_tK", "apply_T", "_apply_K_inverse"):
         real = getattr(dualcheck, name)
@@ -426,6 +436,7 @@ def test_local_suites_give_the_exhaustive_verdicts_under_skews(n, r, field, monk
                 monkeypatch.setattr(dualcheck, name, _skewed(real, lambda idx: idx[pos] == letter))
                 rows = _relation_rows(n, r, field)
                 assert rows == _exhaustive_rows(n, r, field), (name, pos, letter)
+                assert _quantum_verdicts(n, r, field) == exhaustive_quantum_relations(n, r, field), (name, pos, letter)
                 failing += not all(rows.values())
         monkeypatch.setattr(dualcheck, name, real)
     assert failing == 6 * r * n
@@ -496,10 +507,85 @@ def test_a_broken_premise_falls_back_to_the_exhaustive_verdicts(mutant, n, r, fi
     assert _relation_rows(n, r, field) == _exhaustive_rows(n, r, field)
 
 
-def _first_residual(field, n, r, lhs, rhs):
-    """'v[idx]: residual ...' at the first index where two maps of basis
-    vectors differ, computed directly."""
-    for idx in itertools.product(range(1, n + 1), repeat=r):
+def _non_power_K1(real):
+    """K_1 with a stray q on the basis vectors whose first two letters are 1:
+    still diagonal, but not c k⊗...⊗k; K_1^-1 is left as it is."""
+
+    def apply_K(j, v, inverse=False):
+        out = real(j, v, inverse=inverse)
+        if j != 1 or inverse:
+            return out
+        q = v.field.q_power(1)
+        return TensorVector(v.field, v.n, v.r, {idx: c * q if idx[:2] == (1, 1) else c for idx, c in out.coeffs.items()})
+
+    return apply_K
+
+
+def _squared_grouplike_E1(real):
+    """E_1 as the iterated coproduct of the one-site e_1 with K~_1^2 in place
+    of K~_1."""
+
+    def apply_E(i, v):
+        if i != 1:
+            return real(i, v)
+        f = v.field
+        return tensorspace._apply(v, tensorspace._coproduct(2, 1, lambda e: f.q_power(2 * e), f.one(), False))
+
+    return apply_E
+
+
+def _broken_quantum_premises(n, r, field):
+    """The premises of the quantum suite's reduction to V that fail: K_j or
+    K_j^-1 not c k⊗...⊗k (with k(j mod n + 1) = 1), the two scalars c of K_j
+    and K_j^-1 not inverse ("c_j"), E_j or F_j off its coproduct form, or its
+    grouplike not K~_j = k_j k_{j+1}^-1 = q^(δ(a,j) - δ(a,j+1)) (K~_j^-1 for
+    F_j)."""
+    words, q, letters = dualcheck._Words(field, n), field.q_power, range(1, n + 1)
+    k = {(x, j): dualcheck._tensor_power(words, r, (action, j))
+         for x, action in (("K", dualcheck.apply_K), ("K^-1", dualcheck._apply_K_inverse)) for j in letters}
+    broken = {f"{x}_{j}" for (x, j), form in k.items() if form is None}
+    broken |= {f"c_{j}" for j in letters
+               if None not in (k["K", j], k["K^-1", j]) and k["K", j][0] * k["K^-1", j][0] != field.one()}
+    for x, sign in (("E", 1), ("F", -1)):
+        for j in range(1, n):
+            form = dualcheck._coproduct_form(words, r, (getattr(dualcheck, "apply_" + x), j), sign < 0)
+            h = {a: (a == j) - (a == j + 1) for a in letters}
+            if form is None:
+                broken.add(f"{x}_{j}")
+            elif form[1] != {a: q(sign * h[a]) for a in letters} or None not in (k["K", j], k["K", j + 1]) and any(
+                    q(h[a]) * k["K", j + 1][1][a] != k["K", j][1][a] for a in letters):
+                broken.add(f"grouplike of {x}_{j}")
+    return broken
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
+@pytest.mark.parametrize("n,r", [(3, 3), (2, 4), (3, 4)])
+@pytest.mark.parametrize("mutant", ["K_1 not a tensor power", "K_1 doubled", "E_1 with grouplike K~_1^2"])
+def test_a_broken_quantum_premise_falls_back_to_the_exhaustive_verdicts(mutant, n, r, field, monkeypatch):
+    assert _broken_quantum_premises(n, r, field) == set()
+    real = dualcheck.apply_K
+    if mutant == "K_1 not a tensor power":
+        monkeypatch.setattr(dualcheck, "apply_K", _non_power_K1(real))
+        broken = "K_1"
+    elif mutant == "K_1 doubled":
+        # 2 K_1 is 2 k_1⊗...⊗k_1, but K_1^-1 no longer inverts it
+        two = field.from_int(2)
+        monkeypatch.setattr(dualcheck, "apply_K", lambda j, v, inverse=False: real(j, v, inverse).scale(
+            two if j == 1 and not inverse else field.one()))
+        broken = "c_1"
+    else:
+        monkeypatch.setattr(dualcheck, "apply_E", _squared_grouplike_E1(dualcheck.apply_E))
+        broken = "grouplike of E_1"
+    assert _broken_quantum_premises(n, r, field) == {broken}
+    assert _broken_premises(n, r, field) == set()
+    verdicts = _quantum_verdicts(n, r, field)
+    assert verdicts == exhaustive_quantum_relations(n, r, field) and not all(verdicts.values())
+
+
+def _first_residual(field, n, r, lhs, rhs, indices=None):
+    """'v[idx]: residual ...' at the first index (of ``indices``, by default
+    all) where two maps of basis vectors differ, computed directly."""
+    for idx in indices or itertools.product(range(1, n + 1), repeat=r):
         v = TensorVector.basis(field, n, idx)
         if lhs(v) != rhs(v):
             return f"v[{','.join(map(str, idx))}]: residual {lhs(v) - rhs(v)}"
@@ -523,6 +609,28 @@ def test_failing_rows_name_their_first_witness(field, monkeypatch):
     assert all(exhaustive_commuting_actions(3, 3, field).values()) is False
     assert check_commuting_actions(3, 3, field).detail == "[E_1, T_1] at " + _first_residual(
         field, 3, 3, lambda v: E1(T1(v)), lambda v: T1(E1(v)))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
+def test_failing_quantum_rows_name_their_first_witness(field, monkeypatch):
+    # a skewed F breaks its coproduct form, so the rows fall back to the
+    # sorted index vectors; each names its first failing pair there
+    monkeypatch.setattr(dualcheck, "apply_F", _skewed(dualcheck.apply_F))
+    E1, F1, F2 = partial(dualcheck.apply_E, 1), partial(dualcheck.apply_F, 1), partial(dualcheck.apply_F, 2)
+    q = field.q_power
+
+    def commutator_rhs(v):
+        (idx,) = v.coeffs
+        return F1(E1(v)) + v.scale(field.qint(idx.count(1) - idx.count(2)))
+
+    rows = {c.name.split()[0]: c for c in check_quantum_relations(3, 3, field)}
+    assert [name for name, c in rows.items() if not c.ok] == ["U2", "U6"]
+    sorted_indices = list(itertools.combinations_with_replacement(range(1, 4), 3))
+    assert rows["U2"].detail == "[E_1, F_1] - [m_1 - m_2] at " + _first_residual(
+        field, 3, 3, lambda v: E1(F1(v)), commutator_rhs, sorted_indices)
+    assert rows["U6"].detail == "F_1^2 F_2 - (q + q^-1) F_1 F_2 F_1 + F_2 F_1^2 at " + _first_residual(
+        field, 3, 3, lambda v: F1(F1(F2(v))) + F2(F1(F1(v))), lambda v: F1(F2(F1(v))).scale(q(1) + q(-1)),
+        sorted_indices)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])

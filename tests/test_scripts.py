@@ -5,6 +5,7 @@ tests import, and must exit 0 with its success line; `stage_times.py` must
 also print one row per stage, and say when a row is a minimum over runs.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -41,3 +42,19 @@ def test_script_smoke(script, args, expected):
         rows = {line.split()[0] for line in proc.stdout.splitlines()[2:-1]}
         stages = [stage for stage, _ in verify_stages(2, 3, ScalarField.generic())]
         assert rows == {*stages, "Specht", "total"}
+
+
+def test_check_reference_lists_a_differing_job(monkeypatch, capsys):
+    # two jobs of the reference, one with a corrupted digest: the script
+    # lists that one and exits 1
+    spec = importlib.util.spec_from_file_location("check_reference", REPO / "scripts" / "check_reference.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    reference = script.load_reference()
+    good, bad = "walks --n 2 --r 2 --output json", "verify --n 0 --r 2"
+    subset = {good: reference[good], bad: dict(reference[bad], sha256="0" * 64)}
+    monkeypatch.setattr(script, "load_reference", lambda: subset)
+    assert script.main() == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in out[:-1]] == [bad]
+    assert out[-1] == "1 of 2 reference jobs match"
