@@ -420,9 +420,9 @@ class _Table(dict):
     def __missing__(self, idx: tuple[int, ...]) -> dict:
         action, i = self.gen
         words = self.words
-        shared = words.shared
+        shared, by_id = words.shared, words.by_id
         image = self[shared.setdefault(idx, idx)] = {
-            shared.setdefault(k, k): shared.setdefault(c, c)
+            shared.setdefault(k, k): (by_id.get(id(c)) or words.share_new(c))[1]
             for k, c in action(i, words.zero(len(idx))._fresh({idx: words.one})).coeffs.items()}
         return image
 
@@ -448,12 +448,21 @@ class _Words:
         self.n = n
         self.one = field.one()
         self.shared = {self.one: self.one}
+        self.by_id: dict = {}
         self.tables: dict = {}
         self.forms: dict = {}
         self.zero = functools.cache(functools.partial(TensorVector.zero, field, n))
 
     def share(self, x):
         return self.shared.setdefault(x, x)
+
+    def share_new(self, c) -> tuple:
+        """(c, c's shared equal), kept in ``by_id`` under id(c): the actions
+        return the same few coefficient objects (cached powers of q) again
+        and again, and looking one up by identity costs far less than
+        hashing it.  Holding c keeps its id from being reused."""
+        pair = self.by_id[id(c)] = c, self.share(c)
+        return pair
 
     def table(self, gen) -> dict:
         table = self.tables.get(gen)
