@@ -9,7 +9,6 @@ Exits nonzero if any check fails anywhere in the sweep.
 import argparse
 import sys
 import time
-from fractions import Fraction
 
 from qtensor.coeff import ScalarField
 from qtensor.dualcheck import decomposition_report, verify_suite
@@ -19,10 +18,13 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n-max", type=int, default=4)
     parser.add_argument("--r-max", type=int, default=5)
-    parser.add_argument("--q0", type=str, default=None)
+    parser.add_argument("--q0", type=str, default=None, help="rational specialization num[/den], e.g. 3/2")
     args = parser.parse_args()
 
-    field = ScalarField.at(Fraction(args.q0)) if args.q0 else ScalarField.generic()
+    try:
+        field = ScalarField(args.q0)
+    except ValueError as exc:
+        parser.error(f"bad --q0 value {args.q0!r}: {exc}")
     label = f"q0={args.q0}" if args.q0 else "generic"
     print(f"verification sweep over the {label} field")
     print(f"{'n':>3} {'r':>3} {'walks':>6} {'dim id':>7} {'checks':>7} {'time':>8}")

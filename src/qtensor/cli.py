@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
 from . import dualcheck, psiphi, tensorspace
@@ -61,9 +60,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_Q0_GRAMMAR = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
-
-
 def _attach_negative_q0(argv: list[str]) -> list[str]:
     """``--q0 -2/5`` as ``--q0=-2/5``: argparse takes a token that starts
     with "-" for a flag unless it reads as a plain negative number."""
@@ -90,12 +86,7 @@ def _parse_config(argv: list[str]) -> argparse.Namespace:
     else:
         cfg.shape = None
     try:
-        if cfg.q0 is not None and not _Q0_GRAMMAR.fullmatch(cfg.q0):
-            # Fraction also reads exponents, and would spend seconds expanding 1e99999999
-            raise ValueError("expected num[/den]")
-        cfg.field = ScalarField.generic() if cfg.q0 is None else ScalarField.at(cfg.q0)
-    except ZeroDivisionError:
-        raise _UsageError(f"bad --q0 value {cfg.q0!r}: zero denominator") from None
+        cfg.field = ScalarField(cfg.q0)
     except ValueError as exc:
         raise _UsageError(f"bad --q0 value {cfg.q0!r}: {exc}") from None
     if cfg.n < 1:

@@ -22,6 +22,11 @@ that cannot cancel a polynomial factor skip the gcd: a product with a
 monomial +-c*q^k only fixes the integer content, and a sum over a shared
 denominator b needs only gcd(a + c, b).
 
+Two domains, one interface.  ``ScalarField(q0)`` is Q(q) for q0 = None,
+else Q at the rational q = q0 (an int, a `Fraction` or num[/den] text); it
+is the only code that reads a q0.  A field's memo of q-powers fills
+idempotently, so sharing a field between threads needs no lock either.
+
 Cleared pairing.  ``ScalarField.clear`` writes a coefficient dict over one
 common denominator D, the lcm of its denominators (by the same gcd), with
 numerators in the ring: ints at a rational q0, `LaurentPoly` on the generic
@@ -34,7 +39,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, isqrt, lcm
 
 __all__ = [
@@ -410,34 +414,6 @@ def _normalize_pair(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, La
             LaurentPoly({i: cd * c for i, c in enumerate(d)}))
 
 
-def _clear_ratfuncs(coeffs: dict) -> tuple[LaurentPoly, dict]:
-    # For canonical denominators a, b the reduced form of a/b is (a/g, b/g)
-    # with g = gcd(a, b), contents included; so lcm(a, b) = a * (b/g), and
-    # D/den is the numerator of D/den reduced.
-    dens = {c.den for c in coeffs.values()}
-    if len(dens) == 1:
-        (D,) = dens
-        return D, {k: c.num for k, c in coeffs.items()}
-    D = _L_ONE
-    for den in dens:
-        D = D * _normalize_pair(D, den)[1]
-    cofactors = {den: _normalize_pair(D, den)[0] for den in dens}
-    return D, {k: c.num * cofactors[c.den] for k, c in coeffs.items()}
-
-
-def _pair_laurent(nu: dict, nv: dict) -> LaurentPoly:
-    acc: dict[int, int] = {}
-    get = acc.get
-    for k, a in nu.items():
-        b = nv.get(k)
-        if b is not None:
-            for e1, c1 in a._terms.items():
-                for e2, c2 in b._terms.items():
-                    e = e1 + e2
-                    acc[e] = get(e, 0) + c1 * c2
-    return LaurentPoly(acc)
-
-
 class RatFunc:
     """Element of the fraction field of the Laurent polynomial ring.
 
@@ -607,8 +583,19 @@ def specialize(a: RatFunc | LaurentPoly, q0: Fraction | int | str) -> Fraction:
     return a.evaluate(_admissible_q0(q0))
 
 
+_Q0_GRAMMAR = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def _admissible_q0(q0: Fraction | int | str) -> Fraction:
-    q0 = Fraction(q0)
+    """q0 as a `Fraction`, from an int, a `Fraction` or num[/den] text (sign,
+    digits, optional /digits); other text, 0, +-1 and n/0 raise `ValueError`."""
+    if isinstance(q0, str) and not _Q0_GRAMMAR.fullmatch(q0):
+        # Fraction also reads exponents, and would spend seconds expanding 1e99999999
+        raise ValueError("expected num[/den]")
+    try:
+        q0 = Fraction(q0)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator") from None
     if q0 in (0, 1, -1):
         raise ValueError(f"q0 = {q0} is excluded (zero or a root of unity)")
     return q0
@@ -650,34 +637,6 @@ def parse_ratfunc(s: str) -> RatFunc:
         numtxt, dentxt = s[1:-1].split(")/(", 1)
         return RatFunc(parse_laurent(numtxt), parse_laurent(dentxt))
     return RatFunc.from_laurent(parse_laurent(s))
-
-
-@lru_cache(maxsize=128)
-def _generic_q_power(e: int) -> RatFunc:
-    # The relation suites multiply by q^k tens of thousands of times per run.
-    return RatFunc.from_laurent(LaurentPoly.q_power(e))
-
-
-@lru_cache(maxsize=128)
-def _specialized_q_power(num: int, den: int, e: int) -> Fraction:
-    # q0 = num/den enters the key by its integer parts: hashing a Fraction
-    # costs more than the power itself.
-    return Fraction(num, den) ** e
-
-
-@lru_cache(maxsize=64)
-def _integer_q_powers(a: int, b: int, r: int) -> tuple:
-    # q0 = a/b: q^e = a^(r+e) * b^(r-e) / (ab)^r for |e| <= r.
-    table = {e: a ** (r + e) * b ** (r - e) for e in range(-r, r + 1)}
-    return table.__getitem__, (a * b) ** r
-
-
-def _keep_coeffs(coeffs: dict) -> tuple:
-    return 1, coeffs
-
-
-def _numerator(x, d):
-    return x
 
 
 class _Value:
@@ -726,33 +685,47 @@ class _Value:
 
 
 class ScalarField(_Value):
-    """Coefficient field for the whole pipeline.
+    """Coefficient field for the whole pipeline: Q(q) with `RatFunc` values
+    for q0 = None, else Q at q = q0 with `Fraction` values.  Each domain's
+    private subclass defines ``from_int``, ``qint``, ``parse`` and the ring:
 
-    q0 = None computes over the generic fraction field (RatFunc values);
-    a rational q0 switches every computation to exact Fraction values.
-    The field's one and zero are built once, so ``c is field.one()`` spots
-    the one, and so is q - q^-1; they are not fields, so two fields are equal
-    when their q0 is.
+    - ``clear(coeffs)`` gives (D, numerators), coeffs[k] = numerators[k] / D,
+      D the lcm of the denominators: a positive int over ints at q0, and on
+      Q(q) a `LaurentPoly` of lowest exponent 0, positive leading coefficient;
+    - ``numerator_ring(r)`` gives (clear, power, den, over) for vectors with
+      q-exponents in [-r, r]: q^e = power(e) / den, and over(x, d) is the field
+      element x / d for a ring element x and a product d of such denominators.
+
+    The one, the zero and q - q^-1 are built once, so ``c is field.one()``
+    spots the one, and powers of q live in one memo per field.  None is a
+    field of the value: two fields are equal, and of one class, when q0 is.
     """
 
-    __slots__ = ("q0", "_one", "_zero", "_q_diff")
+    __slots__ = ("q0", "_one", "_zero", "_q_diff", "_memo")
     _fields = ("q0",)
 
+    def __new__(cls, q0: Fraction | int | str | None = None):
+        if cls is ScalarField:
+            cls = _GenericField if q0 is None else _RationalField
+        return object.__new__(cls)
+
     def __init__(self, q0: Fraction | None = None):
-        if q0 is not None:
-            q0 = _admissible_q0(q0)
         object.__setattr__(self, "q0", q0)
-        object.__setattr__(self, "_one", RatFunc.from_int(1) if q0 is None else Fraction(1))
-        object.__setattr__(self, "_zero", RatFunc.from_int(0) if q0 is None else Fraction(0))
+        object.__setattr__(self, "_one", self.from_int(1))
+        object.__setattr__(self, "_zero", self.from_int(0))
+        object.__setattr__(self, "_memo", {0: self._one})
         object.__setattr__(self, "_q_diff", self.q_power(1) - self.q_power(-1))
 
     @classmethod
     def generic(cls) -> ScalarField:
-        return cls(None)
+        return _GenericField()
 
     @classmethod
     def at(cls, q0: Fraction | int | str) -> ScalarField:
-        return cls(Fraction(q0))
+        return _RationalField(q0)
+
+    def __repr__(self) -> str:
+        return f"ScalarField(q0={self.q0!r})"
 
     def zero(self):
         return self._zero
@@ -763,47 +736,10 @@ class ScalarField(_Value):
     def q_diff(self):
         return self._q_diff
 
-    def from_int(self, c: int):
-        return RatFunc.from_int(c) if self.q0 is None else Fraction(c)
-
     def q_power(self, e: int):
-        if not e:
-            return self._one
-        if self.q0 is None:
-            return _generic_q_power(e)
-        return _specialized_q_power(self.q0.numerator, self.q0.denominator, e)
-
-    def qint(self, m: int):
-        if self.q0 is None:
-            return RatFunc.from_laurent(qint(m))
-        return qint(m).evaluate(self.q0)
-
-    def clear(self, coeffs: dict) -> tuple:
-        """(D, numerators) with coeffs[k] == numerators[k] / D for every key:
-        D is the lcm of the denominators (a positive int at q0; on the generic
-        field a `LaurentPoly` with lowest exponent 0 and a positive leading
-        coefficient), and each numerator lies in the ring (int, `LaurentPoly`)."""
-        if self.q0 is None:
-            return _clear_ratfuncs(coeffs)
-        D = lcm(*[c.denominator for c in coeffs.values()])
-        return D, {k: c.numerator * (D // c.denominator) for k, c in coeffs.items()}
-
-    def numerator_ring(self, r: int) -> tuple:
-        """(clear, power, den, over): arithmetic on numerators, for vectors
-        whose q-power exponents stay within [-r, r].
-
-        ``clear(coeffs)`` gives (D, numerators) with coeffs[k] equal to
-        numerators[k] / D; q^e equals power(e) / den; and ``over(x, d)`` is
-        the field element x / d, for a ring element x and a product d of
-        such denominators.  At q0 = a/b the ring is the integers: ``clear`` is
-        `ScalarField.clear`, power(e) = a^(r+e) * b^(r-e), den = (ab)^r, and
-        ``over`` is `Fraction`.  On the generic field the ring is the field
-        itself, with D = den = 1 and power = ``q_power``: a `LaurentPoly`
-        numerator would pay a gcd for every term it reaches, while a field
-        element times a power of q pays none."""
-        if self.q0 is None:
-            return _keep_coeffs, self.q_power, 1, _numerator
-        return (self.clear, *_integer_q_powers(self.q0.numerator, self.q0.denominator, r), Fraction)
+        # The relation suites multiply by q^k tens of thousands of times per run.
+        memo = self._memo
+        return memo[e] if e in memo else memo.setdefault(e, self._power(e))
 
     def pair(self, u: tuple, v: tuple):
         """Sum over shared keys of the products of two cleared dicts (from
@@ -812,14 +748,87 @@ class ScalarField(_Value):
         (du, nu), (dv, nv) = u, v
         if len(nv) < len(nu):
             nu, nv = nv, nu
-        if self.q0 is None:
-            total = _pair_laurent(nu, nv)
-            return RatFunc(total, du * dv) if total else self._zero
-        get = nv.get
-        total = sum([a * b for k, a in nu.items() if (b := get(k)) is not None])
-        return Fraction(total, du * dv) if total else self._zero
+        total = self._ring_sum(nu, nv)
+        return self._quotient(total, du * dv) if total else self._zero
 
-    def parse(self, s: str):
-        if self.q0 is None:
-            return parse_ratfunc(s)
-        return Fraction(s)
+
+class _GenericField(ScalarField):
+    """Q(q): `RatFunc` values over `LaurentPoly` numerators."""
+
+    __slots__ = ()
+    _quotient = RatFunc
+    from_int = RatFunc.from_int
+
+    def _power(self, e: int) -> RatFunc:
+        return RatFunc.from_laurent(LaurentPoly.q_power(e))
+
+    def qint(self, m: int) -> RatFunc:
+        return RatFunc.from_laurent(qint(m))
+
+    def clear(self, coeffs: dict) -> tuple:
+        # For canonical denominators a, b the reduced form of a/b is (a/g, b/g)
+        # with g = gcd(a, b), contents included; so lcm(a, b) = a * (b/g), and
+        # D/den is the numerator of D/den reduced.
+        dens = {c.den for c in coeffs.values()}
+        if len(dens) == 1:
+            (D,) = dens
+            return D, {k: c.num for k, c in coeffs.items()}
+        D = _L_ONE
+        for den in dens:
+            D = D * _normalize_pair(D, den)[1]
+        cofactors = {den: _normalize_pair(D, den)[0] for den in dens}
+        return D, {k: c.num * cofactors[c.den] for k, c in coeffs.items()}
+
+    def numerator_ring(self, r: int) -> tuple:
+        """The field itself, over D = den = 1: a `LaurentPoly` numerator would
+        pay a gcd per term it reaches; a field element times q^e pays none."""
+        return (lambda coeffs: (1, coeffs)), self.q_power, 1, (lambda x, d: x)
+
+    @staticmethod
+    def _ring_sum(nu: dict, nv: dict) -> LaurentPoly:
+        acc: dict[int, int] = {}
+        get = acc.get
+        for k, a in nu.items():
+            if (b := nv.get(k)) is not None:
+                for e1, c1 in a._terms.items():
+                    for e2, c2 in b._terms.items():
+                        e = e1 + e2
+                        acc[e] = get(e, 0) + c1 * c2
+        return LaurentPoly(acc)
+
+    def parse(self, s: str) -> RatFunc:
+        return parse_ratfunc(s)
+
+
+class _RationalField(ScalarField):
+    """Q at q = q0: `Fraction` values over int numerators."""
+
+    __slots__ = ()
+    _quotient = from_int = parse = Fraction
+
+    def __init__(self, q0: Fraction | int | str):
+        super().__init__(_admissible_q0(q0))
+
+    def _power(self, e: int) -> Fraction:
+        return self.q0 ** e
+
+    def qint(self, m: int) -> Fraction:
+        return qint(m).evaluate(self.q0)
+
+    def clear(self, coeffs: dict) -> tuple:
+        D = lcm(*[c.denominator for c in coeffs.values()])
+        return D, {k: c.numerator * (D // c.denominator) for k, c in coeffs.items()}
+
+    def numerator_ring(self, r: int) -> tuple:
+        """Integers at q0 = a/b: power(e) = a^(r+e) * b^(r-e), den = (ab)^r."""
+        memo, key = self._memo, ("ring", r)  # beside the powers of q
+        if key not in memo:
+            a, b = self.q0.numerator, self.q0.denominator
+            table = {e: a ** (r + e) * b ** (r - e) for e in range(-r, r + 1)}
+            memo.setdefault(key, (table.__getitem__, (a * b) ** r))
+        return self.clear, *memo[key], Fraction
+
+    @staticmethod
+    def _ring_sum(nu: dict, nv: dict) -> int:
+        get = nv.get
+        return sum([a * b for k, a in nu.items() if (b := get(k)) is not None])

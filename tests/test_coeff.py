@@ -238,9 +238,15 @@ def test_scalar_field_dispatch():
     assert spec.q_power(-2) == Fraction(4, 9)
     assert gen.parse(str(gen.qint(3) / gen.qint(2))) == gen.qint(3) / gen.qint(2)
     assert spec.parse(str(spec.qint(3))) == spec.qint(3)
-    for bad in (0, 1, -1):
-        with pytest.raises(ValueError):
+    for bad, reason in ((0, "q0 = 0 is excluded"), (1, "q0 = 1 is excluded"), (-1, "q0 = -1 is excluded"),
+                        ("1e99999999", "expected num"), ("0.5", "expected num"), ("1/0", "zero denominator"),
+                        ("x", "expected num")):
+        with pytest.raises(ValueError, match=reason):
             ScalarField.at(bad)
+    # text, Fraction and the constructor give one field, of one class
+    same = [ScalarField("3/2"), ScalarField.at(Fraction(3, 2)), ScalarField.at("3/2")]
+    assert same[0] == same[1] == same[2] and len({type(f) for f in same}) == 1
+    assert len({hash(f) for f in same}) == 1 and type(gen) is not type(spec)
 
 
 @pytest.mark.parametrize("field", [ScalarField.generic(), ScalarField.at("3/2")], ids=["generic", "q0"])
@@ -294,7 +300,7 @@ def test_clear_invariants(case):
 
 
 def test_specialized_q_power_memo_keeps_fields_apart():
-    # the memo is shared by every field; q0 and its sign and inverse must not collide
+    # each field memoises its own powers; q0 and its sign and inverse must not collide
     for _ in range(2):
         assert [ScalarField.at(q).q_power(3) for q in ("3/2", "-3/2", "2/3")] == [
             Fraction(27, 8), Fraction(-27, 8), Fraction(8, 27)]

@@ -422,7 +422,7 @@ def test_phi_clears_each_psi_element_once(monkeypatch):
     field = ScalarField.at(Fraction(3, 2))
     psiphi._psi_cleared.cache_clear()
     counts = {"clear": 0, "phi": 0}
-    real_clear, real_phi = ScalarField.clear, psiphi.phi
+    real_clear, real_phi = type(field).clear, psiphi.phi
 
     def clear(self, coeffs):
         counts["clear"] += 1
@@ -432,7 +432,7 @@ def test_phi_clears_each_psi_element_once(monkeypatch):
         counts["phi"] += 1
         return real_phi(*args, **kwargs)
 
-    monkeypatch.setattr(ScalarField, "clear", clear)
+    monkeypatch.setattr(type(field), "clear", clear)
     monkeypatch.setattr(psiphi, "phi", counted_phi)
     records = maximal_basis(4, 5, field)
     assert counts["phi"] == sum(len(rec.walk.rows) for rec in records)

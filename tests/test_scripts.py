@@ -3,6 +3,8 @@
 Each script runs as its own process against the same qtensor package the
 tests import, and must exit 0 with its success line; `stage_times.py` must
 also print one row per stage, and say when a row is a minimum over runs.
+`run_full_checks.py` reads --q0 by the grammar of the library, so a malformed
+value is a usage error.
 """
 
 import importlib.util
@@ -21,6 +23,13 @@ REPO = Path(__file__).resolve().parent.parent
 PACKAGE_ROOT = str(Path(qtensor.__file__).resolve().parent.parent)
 
 
+def _run_script(script: str, args: list[str], timeout: float = 120) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(REPO / "scripts" / script), *args],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
 @pytest.mark.parametrize("script,args,expected", [
     ("run_full_checks.py", ["--n-max", "2", "--r-max", "3"], "sweep complete: all checks passed"),
     ("specialization_sweep.py", ["--n", "2", "--r", "3"],
@@ -29,12 +38,7 @@ PACKAGE_ROOT = str(Path(qtensor.__file__).resolve().parent.parent)
     ("stage_times.py", ["--n", "2", "--r", "3", "--repeat", "2"], "all stages passed"),
 ])
 def test_script_smoke(script, args, expected):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / script), *args],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = _run_script(script, args)
     assert proc.returncode == 0, proc.stderr
     assert expected in proc.stdout.splitlines()
     if script == "stage_times.py":
@@ -42,6 +46,14 @@ def test_script_smoke(script, args, expected):
         rows = {line.split()[0] for line in proc.stdout.splitlines()[2:-1]}
         stages = [stage for stage, _ in verify_stages(2, 3, ScalarField.generic())]
         assert rows == {*stages, "Specht", "total"}
+
+
+@pytest.mark.parametrize("q0,reason", [("1e99999999", "expected num[/den]"), ("1/0", "zero denominator")])
+def test_run_full_checks_rejects_bad_q0(q0, reason):
+    # a usage error, exit 2, before any work: no hang expanding the exponent, no traceback
+    proc = _run_script("run_full_checks.py", ["--q0", q0], timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].endswith(f"error: bad --q0 value {q0!r}: {reason}")
 
 
 def test_check_reference_lists_a_differing_job(monkeypatch, capsys):
