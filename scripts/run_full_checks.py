@@ -10,16 +10,17 @@ import argparse
 import sys
 import time
 
+from qtensor.cli import _attach_negative_q0
 from qtensor.coeff import ScalarField
 from qtensor.dualcheck import decomposition_report, verify_suite
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__, allow_abbrev=False)
     parser.add_argument("--n-max", type=int, default=4)
     parser.add_argument("--r-max", type=int, default=5)
     parser.add_argument("--q0", type=str, default=None, help="rational specialization num[/den], e.g. 3/2")
-    args = parser.parse_args()
+    args = parser.parse_args(_attach_negative_q0(sys.argv[1:]))
 
     try:
         field = ScalarField(args.q0)

@@ -38,31 +38,15 @@ or V⊗V⊗V (Jimbo 1986):
   R^(i+1)_23 R^(i)_12 R^(i+1)_23 on V⊗V⊗V; far commutation follows from
   disjoint slots; a diagonal generator commutes with T_i at idx when its
   eigenvalue is the same on idx and every key of T_i v_idx, and K_j^-1
-  inverts K_j when their eigenvalues multiply to one; [E_j, T_i] = 0 when
-  [Δ(E_j), R^(i)] = 0 on V⊗V and, if i < r-1, [kappa_j⊗kappa_j, R^(i)] = 0
-  (for F_j: if i > 1);
+  inverts K_j when c_j c'_j = 1 and k_j(a) k'_j(a) = 1 at each letter a;
+  [E_j, T_i] = 0 when [Δ(E_j), R^(i)] = 0 on V⊗V and, if i < r-1,
+  [kappa_j⊗kappa_j, R^(i)] = 0 (for F_j: if i > 1);
 - fallback: a (relation, generator, i) pair that no lemma proves, because a
-  premise or the local check fails, is decided by comparing words: on all
-  n^r vectors, as the exhaustive suite does it, and for U1-U7 on the weakly
-  increasing index tuples only, one per letter content.  Only the local ⇒
-  global direction of each lemma is used, so every verdict is the
-  exhaustive one, and a failing row's ``detail`` names its first failing
-  pair at its first failing index, with the residual.
-
-The U1-U7 fallback on the sorted tuples is complete only together with the
-other two suites, as ``verify_suite`` runs them, because:
-
-- the Hecke suite checks that T_i v_idx is supported on idx and s_i idx with
-  a nonzero coefficient on s_i idx, so every v_idx is a combination of
-  T-words applied to the sorted vector of its content: the sorted vectors
-  generate the tensor power as a module over the T_i (Dipper & James 1989;
-  Jimbo 1986);
-- the commuting suite checks that E_j, F_j, K_j and the coroot grouplikes
-  commute with every T_i, and that K_j^-1 inverts K_j, so every relation's
-  difference of two sides commutes with the T_i (the scalar part of U2 is a
-  function of letter content, which the support condition makes T_i keep);
-- an operator that commutes with the T_i and kills the generators kills
-  everything.
+  premise or the local check fails, is decided by comparing words on all n^r
+  vectors, as the exhaustive suite does it.  Only the local ⇒ global
+  direction of each lemma is used, so each suite is exact on its own: every
+  row's verdict is the exhaustive one, and a failing row's ``detail`` names
+  its first failing pair at its first failing index, with the residual.
 
 Each generator's image of each basis vector is computed once by the tensor
 action itself (looked up in this module when the suite runs, so a replaced
@@ -400,11 +384,6 @@ def _all_indices(n: int, r: int):
     return itertools.product(range(1, n + 1), repeat=r)
 
 
-def _sorted_indices(n: int, r: int):
-    """The weakly increasing index tuples: one per letter content."""
-    return itertools.combinations_with_replacement(range(1, n + 1), r)
-
-
 def _apply_K_inverse(i: int, v: TensorVector) -> TensorVector:
     return apply_K(i, v, inverse=True)
 
@@ -505,11 +484,9 @@ def check_quantum_relations(n: int, r: int, field: ScalarField, *,
 
     For r > 1 they are decided on V, through the coproduct, when the
     generators have their one-site forms (``_one_site``), and for r <= 1 on
-    the tensor power's own tables.  Otherwise each row compares words on the
-    sorted index vectors only, which is complete only together with
-    ``check_hecke_relations`` and ``check_commuting_actions``, as run by
-    ``verify_suite`` (module docstring).  ``words`` shares tabulated images
-    and local forms with those suites.
+    the tensor power's own tables.  Otherwise each row compares words on all
+    n^r index vectors.  ``words`` shares tabulated images and local forms
+    with the other two suites.
     """
     if words is None:
         words = _Words(field, n)
@@ -517,7 +494,7 @@ def check_quantum_relations(n: int, r: int, field: ScalarField, *,
     proved = local is not None and all(
         _scan(local, _all_indices(n, min(r, 1)), fails) is None
         for _, pairs in _quantum_rows(local) for _, fails in pairs)
-    return [_decide(words, r, name, ((label, proved, fails) for label, fails in pairs), _sorted_indices)
+    return [_decide(words, r, name, ((label, proved, fails) for label, fails in pairs))
             for name, pairs in _quantum_rows(words)]
 
 
@@ -608,15 +585,14 @@ def _locally(words: _Words, rank: int, tables: dict, relation) -> bool:
     return _scan(local, _all_indices(words.n, rank), relation(local)) is None
 
 
-def _decide(words: _Words, r: int, name: str, pairs, indices=_all_indices) -> CheckResult:
+def _decide(words: _Words, r: int, name: str, pairs) -> CheckResult:
     """One row from (label, holds, fails) triples in witness order.  A pair
     whose local lemma ``holds`` is proved; any other is decided by ``fails``
-    on every basis vector (or on ``indices(n, r)``), as the exhaustive suite
-    does.  The row's witness is its first failing pair at the first failing
-    index."""
+    on every basis vector, as the exhaustive suite does.  The row's witness
+    is its first failing pair at the first failing index."""
     for label, holds, fails in pairs:
         if not holds:
-            found = _scan(words, indices(words.n, r), fails)
+            found = _scan(words, _all_indices(words.n, r), fails)
             if found:
                 return CheckResult(name, False, f"{label} at {_vec(found[0])}: {found[1]}")
     return CheckResult(name, True)
@@ -724,15 +700,17 @@ def _coproduct_form(words: _Words, r: int, gen, right: bool) -> tuple | None:
     return e, kappa
 
 
+@_cached
 def _tensor_power(words: _Words, r: int, gen) -> tuple | None:
     """(c, k), if gen = (action, j) is diagonal and its table on all n^r
     vectors is c k⊗...⊗k for a one-site k with k(b) = 1, where b = j mod n + 1
-    (so for the true K_j and n > 1, c = 1 and k(a) = q^δ(a,j)), else None."""
+    (so for the true K_j and n > 1, c = 1 and k(a) = q^δ(a,j)), else None.
+    At r = 0, k is 1 and c the one eigenvalue."""
     lam, b = _eigenvalues(words, r, gen), (gen[1] % words.n + 1,)
     c = lam and lam[b * r]
     if not c:
         return None
-    k = {a: words.share(lam[(a,) + b * (r - 1)] / c) for a in range(1, words.n + 1)}
+    k = {a: words.share(lam[(a,) + b * (r - 1)] / c) if r else words.one for a in range(1, words.n + 1)}
     product = _products(words, k, c)
     return (c, k) if {idx: product(idx) for idx in lam} == lam else None
 
@@ -770,11 +748,9 @@ def check_hecke_relations(n: int, r: int, field: ScalarField, *,
     generators on every index basis vector.
 
     The quadratic row also checks that T_i v_idx is supported on idx and its
-    swap s_i idx, with a nonzero coefficient on s_i idx.  Then each v_idx is
-    reached from the sorted tuple of its content by such swaps, so the sorted
-    vectors generate the tensor power, which is what lets
-    ``check_quantum_relations`` check only them.  Where the T_i are two-site
-    matrices, the rows are decided on V⊗V and V⊗V⊗V (module docstring)."""
+    swap s_i idx, with a nonzero coefficient on s_i idx.  Where the T_i are
+    two-site matrices, the rows are decided on V⊗V and V⊗V⊗V (module
+    docstring)."""
     if words is None:
         words = _Words(field, n)
     T = {i: (apply_T, i) for i in range(1, r)}
@@ -800,9 +776,10 @@ def check_commuting_actions(n: int, r: int, field: ScalarField, *,
                             words: _Words | None = None) -> CheckResult:
     """Generator-by-generator commutation of the two actions on every index
     basis vector: E_j, F_j, the coroot grouplikes and K_j against every T_i.
-    K_j^-1 is checked to invert K_j, so it commutes with the T_i as well.
-    Where the generators have their local forms, the pairs are decided on
-    V⊗V or by eigenvalues (module docstring)."""
+    K_j^-1 is checked to invert K_j, so it commutes with the T_i as well; for
+    tensor powers c k⊗...⊗k, by their scalars and one-site eigenvalues.
+    Where the other generators have their local forms, the pairs are decided
+    on V⊗V or by eigenvalues (module docstring)."""
     if words is None:
         words = _Words(field, n)
     T = {i: (apply_T, i) for i in range(1, r)}
@@ -818,7 +795,7 @@ def check_commuting_actions(n: int, r: int, field: ScalarField, *,
         if form:
             forms[gen] = (dict(_coproduct_images(words, *form, indices2, gen[0] is apply_F)),
                           {ab: {ab: form[1][ab[0]] * form[1][ab[1]]} for ab in indices2})
-    lam = {gen: _eigenvalues(words, r, gen) for gen in [g for _, g in gens[2 * n - 2:]] + list(K_inv.values())}
+    lam = {gen: _eigenvalues(words, r, gen) for _, gen in gens[2 * n - 2:]}
     # the eigenvalues at each index of the diagonal generators among gens
     diagonal = dict(zip(_all_indices(n, r), zip(*[lam[g].values() for _, g in gens[2 * n - 2:] if lam[g]])))
 
@@ -830,10 +807,11 @@ def check_commuting_actions(n: int, r: int, field: ScalarField, *,
     kept = {i: bool(diagonal) and keeps(i, diagonal) for i in T}
 
     def inverts(j):
-        # each distinct pair of eigenvalues once: the tables share equal coefficients
-        ev, ev_inv = lam[K[j]], lam[K_inv[j]]
-        pairs = ev and ev_inv and {(id(x), id(y)): (x, y) for x, y in zip(ev.values(), ev_inv.values())}
-        return bool(pairs) and all(x * y == words.one for x, y in pairs.values())
+        powers = _tensor_power(words, r, K[j]), _tensor_power(words, r, K_inv[j])
+        if None in powers:
+            return False
+        (c, k), (c_inv, k_inv) = powers
+        return c * c_inv == words.one and all(k[a] * k_inv[a] == words.one for a in k)
 
     def commutes(gen, i):
         if gen in lam:

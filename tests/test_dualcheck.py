@@ -358,10 +358,6 @@ def _exhaustive_rows(n, r, field):
     return {**exhaustive_hecke_relations(n, r, field), **exhaustive_commuting_actions(n, r, field)}
 
 
-def _quantum_ok(n, r, field):
-    return all(c.ok for c in check_quantum_relations(n, r, field))
-
-
 def _quantum_verdicts(n, r, field):
     """{U1..U7: verdict} of the quantum suite, keyed as the oracle's."""
     rows = check_quantum_relations(n, r, field)
@@ -370,45 +366,20 @@ def _quantum_verdicts(n, r, field):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
-def test_sorted_tuples_give_the_exhaustive_verdicts(field):
+def test_true_actions_give_the_exhaustive_quantum_verdicts(field):
     for n, r in [(1, 3), (2, 4), (3, 3), (4, 2)]:
-        reduced = check_quantum_relations(n, r, field)
+        rows = check_quantum_relations(n, r, field)
         exhaustive = exhaustive_quantum_relations(n, r, field)
-        assert [c.name.split()[0] for c in reduced] == list(exhaustive)
-        assert [c.ok for c in reduced] == list(exhaustive.values()) == [True] * 7
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
-@pytest.mark.parametrize("n,r", [(3, 3), (2, 4)])
-def test_mutation_parity_of_the_reduced_battery(n, r, field, monkeypatch):
-    """Single-site skews: a stray q on the images of basis vectors with one
-    letter at one position, in each action the suites tabulate.  The reduced
-    battery must fail on every skew the exhaustive one fails on."""
-    mutants = caught = 0
-    for name in ("apply_E", "apply_F", "apply_K", "apply_tK", "apply_T", "_apply_K_inverse"):
-        real = getattr(dualcheck, name)
-        for pos in range(r):
-            for letter in range(1, n + 1):
-                monkeypatch.setattr(dualcheck, name, _skewed(real, lambda idx: idx[pos] == letter))
-                # the Hecke and commuting suites belong to both batteries
-                shared = not (all(c.ok for c in check_hecke_relations(n, r, field))
-                              and check_commuting_actions(n, r, field).ok)
-                exhaustive = not all(exhaustive_quantum_relations(n, r, field).values()) or shared
-                reduced = not _quantum_ok(n, r, field) or shared
-                assert reduced or not exhaustive, (name, pos, letter)
-                mutants += 1
-                caught += exhaustive
-        monkeypatch.setattr(dualcheck, name, real)
-    assert mutants == 6 * r * n
-    assert caught == mutants
+        assert [c.name.split()[0] for c in rows] == list(exhaustive)
+        assert [c.ok for c in rows] == list(exhaustive.values()) == [True] * 7
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
 @pytest.mark.parametrize("n,r", [(1, 3), (2, 2), (2, 4), (3, 3), (4, 3), (3, 1), (3, 0)])
 def test_local_suites_pass_without_a_scan(n, r, field, monkeypatch):
     # the true actions meet every premise and every local lemma, so no pair
-    # falls back to comparing words on the n^r vectors (or, for U1-U7, on the
-    # sorted ones)
+    # falls back to comparing words on the n^r vectors; at r <= 1 this reads
+    # K_j and K_j^-1 as tensor powers of degree 0 and 1
     words, scan, fallbacks = dualcheck._Words(field, n), dualcheck._scan, []
 
     def spy(w, indices, fails):
@@ -426,8 +397,9 @@ def test_local_suites_pass_without_a_scan(n, r, field, monkeypatch):
 @pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
 @pytest.mark.parametrize("n,r", [(3, 3), (2, 4)])
 def test_local_suites_give_the_exhaustive_verdicts_under_skews(n, r, field, monkeypatch):
-    """The single-site skews of the parity sweep: every row of the quantum,
-    Hecke and commuting suites equals the exhaustive oracle's."""
+    """Single-site skews: a stray q on the images of basis vectors with one
+    letter at one position, in each action the suites tabulate.  Every row of
+    the quantum, Hecke and commuting suites equals the exhaustive oracle's."""
     failing = 0
     for name in ("apply_E", "apply_F", "apply_K", "apply_tK", "apply_T", "_apply_K_inverse"):
         real = getattr(dualcheck, name)
@@ -440,6 +412,28 @@ def test_local_suites_give_the_exhaustive_verdicts_under_skews(n, r, field, monk
                 failing += not all(rows.values())
         monkeypatch.setattr(dualcheck, name, real)
     assert failing == 6 * r * n
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
+def test_single_index_skews_give_the_exhaustive_rows(field, monkeypatch):
+    """A stray q on the image of one basis vector, in each action the suites
+    tabulate: each suite, run alone, gives its oracle's verdict row by row."""
+    n, r = 2, 3
+    failing = set()
+    for name in ("apply_E", "apply_F", "apply_K", "apply_tK", "apply_T", "_apply_K_inverse"):
+        real = getattr(dualcheck, name)
+        for target in itertools.product(range(1, n + 1), repeat=r):
+            monkeypatch.setattr(dualcheck, name, _skewed(real, lambda idx: idx == target))
+            quantum = _quantum_verdicts(n, r, field)
+            assert quantum == exhaustive_quantum_relations(n, r, field), (name, target)
+            hecke = {c.name: c.ok for c in check_hecke_relations(n, r, field)}
+            assert hecke == exhaustive_hecke_relations(n, r, field), (name, target)
+            commuting = check_commuting_actions(n, r, field)
+            assert {commuting.name: commuting.ok} == exhaustive_commuting_actions(n, r, field), (name, target)
+            verdicts = {"quantum": all(quantum.values()), "Hecke": all(hecke.values()), "commuting": commuting.ok}
+            failing |= {suite for suite, ok in verdicts.items() if not ok}
+        monkeypatch.setattr(dualcheck, name, real)
+    assert failing == {"quantum", "Hecke", "commuting"}
 
 
 def _conjugated_T2(real):
@@ -582,10 +576,27 @@ def test_a_broken_quantum_premise_falls_back_to_the_exhaustive_verdicts(mutant, 
     assert verdicts == exhaustive_quantum_relations(n, r, field) and not all(verdicts.values())
 
 
-def _first_residual(field, n, r, lhs, rhs, indices=None):
-    """'v[idx]: residual ...' at the first index (of ``indices``, by default
-    all) where two maps of basis vectors differ, computed directly."""
-    for idx in indices or itertools.product(range(1, n + 1), repeat=r):
+@pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
+@pytest.mark.parametrize("n,r", [(3, 1), (3, 3), (2, 4)])
+@pytest.mark.parametrize("mutant", ["K_1 doubled", "K_1^-1 is K_1"])
+def test_inverse_grouplikes_are_decided_by_their_tensor_powers(mutant, n, r, field, monkeypatch):
+    # K_1 and K_1^-1 stay scalars times tensor powers, but the scalars (2 and
+    # 1) or the one-site eigenvalues at the letter 1 (q and q) no longer
+    # multiply to one: the commuting suite fails as its oracle does
+    real, two = dualcheck.apply_K, field.from_int(2)
+    if mutant == "K_1 doubled":
+        apply_K = lambda j, v, inverse=False: real(j, v, inverse).scale(two if j == 1 and not inverse else field.one())
+    else:
+        apply_K = lambda j, v, inverse=False: real(j, v, inverse and j != 1)
+    monkeypatch.setattr(dualcheck, "apply_K", apply_K)
+    rows = _relation_rows(n, r, field)
+    assert rows == _exhaustive_rows(n, r, field) and rows["commuting actions"] is False
+
+
+def _first_residual(field, n, r, lhs, rhs):
+    """'v[idx]: residual ...' at the first index where two maps of basis
+    vectors differ, computed directly."""
+    for idx in itertools.product(range(1, n + 1), repeat=r):
         v = TensorVector.basis(field, n, idx)
         if lhs(v) != rhs(v):
             return f"v[{','.join(map(str, idx))}]: residual {lhs(v) - rhs(v)}"
@@ -613,8 +624,8 @@ def test_failing_rows_name_their_first_witness(field, monkeypatch):
 
 @pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
 def test_failing_quantum_rows_name_their_first_witness(field, monkeypatch):
-    # a skewed F breaks its coproduct form, so the rows fall back to the
-    # sorted index vectors; each names its first failing pair there
+    # a skewed F breaks its coproduct form, so the rows fall back to all n^r
+    # index vectors; each names its first failing pair there
     monkeypatch.setattr(dualcheck, "apply_F", _skewed(dualcheck.apply_F))
     E1, F1, F2 = partial(dualcheck.apply_E, 1), partial(dualcheck.apply_F, 1), partial(dualcheck.apply_F, 2)
     q = field.q_power
@@ -625,12 +636,10 @@ def test_failing_quantum_rows_name_their_first_witness(field, monkeypatch):
 
     rows = {c.name.split()[0]: c for c in check_quantum_relations(3, 3, field)}
     assert [name for name, c in rows.items() if not c.ok] == ["U2", "U6"]
-    sorted_indices = list(itertools.combinations_with_replacement(range(1, 4), 3))
     assert rows["U2"].detail == "[E_1, F_1] - [m_1 - m_2] at " + _first_residual(
-        field, 3, 3, lambda v: E1(F1(v)), commutator_rhs, sorted_indices)
+        field, 3, 3, lambda v: E1(F1(v)), commutator_rhs)
     assert rows["U6"].detail == "F_1^2 F_2 - (q + q^-1) F_1 F_2 F_1 + F_2 F_1^2 at " + _first_residual(
-        field, 3, 3, lambda v: F1(F1(F2(v))) + F2(F1(F1(v))), lambda v: F1(F2(F1(v))).scale(q(1) + q(-1)),
-        sorted_indices)
+        field, 3, 3, lambda v: F1(F1(F2(v))) + F2(F1(F1(v))), lambda v: F1(F2(F1(v))).scale(q(1) + q(-1)))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
@@ -667,18 +676,22 @@ def test_support_failure_names_the_image(field, monkeypatch):
 @pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
 @pytest.mark.parametrize("name", ["apply_E", "_apply_K_inverse"])
 def test_skew_on_an_unsorted_tuple_fails_commuting_actions(name, field, monkeypatch):
-    # v[3,2,1] is never an input of E or K^-1 in a relation word on a sorted
-    # tuple, so the reduced U1-U7 pass; the commuting suite catches the skew
+    # no relation word on a sorted tuple meets v[3,2,1] as an input of E or
+    # K^-1; the quantum suite compares words on all n^r vectors, so it fails
+    # the rows the skew breaks on its own, as the commuting suite does
     monkeypatch.setattr(dualcheck, name, _skewed(getattr(dualcheck, name), lambda idx: idx == (3, 2, 1)))
     assert check_commuting_actions(3, 3, field).ok is False
-    assert not all(exhaustive_quantum_relations(3, 3, field).values())
-    assert _quantum_ok(3, 3, field)
+    verdicts = _quantum_verdicts(3, 3, field)
+    assert verdicts == exhaustive_quantum_relations(3, 3, field)
+    failing = {"apply_E": ["U2", "U4"], "_apply_K_inverse": ["U1"]}[name]
+    assert [row for row, ok in verdicts.items() if not ok] == failing
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
 def test_grouplike_skew_with_matching_inverse_fails_commuting_actions(field, monkeypatch):
     # K_j and K_j^-1 stay inverse to each other, and K never meets v[3,2,1] in
-    # a relation word on a sorted tuple: only K_j against the T_i catches this
+    # a relation word on a sorted tuple: the quantum suite fails U3 on its own,
+    # and K_j against the T_i catches it too
     real = dualcheck.apply_K
 
     def apply_K(j, v, inverse=False):
@@ -688,8 +701,9 @@ def test_grouplike_skew_with_matching_inverse_fails_commuting_actions(field, mon
 
     monkeypatch.setattr(dualcheck, "apply_K", apply_K)
     assert check_commuting_actions(3, 3, field).ok is False
-    assert exhaustive_quantum_relations(3, 3, field)["U3"] is False
-    assert _quantum_ok(3, 3, field)
+    verdicts = _quantum_verdicts(3, 3, field)
+    assert verdicts == exhaustive_quantum_relations(3, 3, field)
+    assert [row for row, ok in verdicts.items() if not ok] == ["U3"]
 
 
 def _relabel_first(v):
@@ -712,14 +726,16 @@ def test_leaking_transposition_fails_quadratic_relation(field, monkeypatch):
 
 @pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
 def test_scalar_transposition_fails_quadratic_relation(field, monkeypatch):
-    # T_i = q satisfies every Hecke relation and commutes with everything, but
-    # the sorted vectors no longer generate: a skew of E on v[3,2,1] then
-    # slips past the reduced U1-U7 and the commuting suite, and only the
-    # nonzero coefficient on s_i idx that the quadratic row asks for is missing
+    # T_i = q satisfies every Hecke relation and commutes with everything, so
+    # a skew of E on v[3,2,1] slips past the commuting suite; the quantum
+    # suite fails it on its own, and the quadratic row misses the nonzero
+    # coefficient on s_i idx
     monkeypatch.setattr(dualcheck, "apply_T", lambda i, v: v.scale(field.q_power(1)))
     monkeypatch.setattr(dualcheck, "apply_E", _skewed(dualcheck.apply_E, lambda idx: idx == (3, 2, 1)))
-    assert not all(exhaustive_quantum_relations(3, 3, field).values())
-    assert _quantum_ok(3, 3, field) and check_commuting_actions(3, 3, field).ok
+    verdicts = _quantum_verdicts(3, 3, field)
+    assert verdicts == exhaustive_quantum_relations(3, 3, field)
+    assert [row for row, ok in verdicts.items() if not ok] == ["U2", "U4"]
+    assert check_commuting_actions(3, 3, field).ok
     verdicts = {c.name: c.ok for c in check_hecke_relations(3, 3, field)}
     assert verdicts == {"quadratic relation": False, "braid relation": True,
                         "far commutation of transpositions": True}

@@ -4,7 +4,7 @@ Each script runs as its own process against the same qtensor package the
 tests import, and must exit 0 with its success line; `stage_times.py` must
 also print one row per stage, and say when a row is a minimum over runs.
 `run_full_checks.py` reads --q0 by the grammar of the library, so a malformed
-value is a usage error.
+value is a usage error, and parses its flags as the command line does.
 """
 
 import importlib.util
@@ -54,6 +54,19 @@ def test_run_full_checks_rejects_bad_q0(q0, reason):
     proc = _run_script("run_full_checks.py", ["--q0", q0], timeout=30)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.splitlines()[-1].endswith(f"error: bad --q0 value {q0!r}: {reason}")
+
+
+def test_run_full_checks_takes_a_negative_q0():
+    proc = _run_script("run_full_checks.py", ["--q0", "-2/5", "--n-max", "1", "--r-max", "2"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "verification sweep over the q0=-2/5 field"
+
+
+def test_run_full_checks_takes_no_abbreviated_flag():
+    # --q would otherwise be read as --q0, and --n as --n-max
+    proc = _run_script("run_full_checks.py", ["--q", "3/2"], timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "unrecognized arguments: --q 3/2" in proc.stderr
 
 
 def test_check_reference_lists_a_differing_job(monkeypatch, capsys):
