@@ -21,6 +21,8 @@ def main() -> int:
     parser.add_argument("--r-max", type=int, default=5)
     parser.add_argument("--q0", type=str, default=None, help="rational specialization num[/den], e.g. 3/2")
     args = parser.parse_args(_attach_negative_q0(sys.argv[1:]))
+    if args.n_max < 1 or args.r_max < 0:
+        parser.error("the sweep is empty: need --n-max >= 1 and --r-max >= 0")
 
     try:
         field = ScalarField(args.q0)

@@ -18,10 +18,12 @@ POINTS = (Fraction(2), Fraction(3, 2), Fraction(-5), Fraction(7, 3))
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__, allow_abbrev=False)
     parser.add_argument("--n", type=int, default=3)
     parser.add_argument("--r", type=int, default=4)
     args = parser.parse_args()
+    if args.n < 1 or args.r < 0:
+        parser.error("need --n >= 1 and --r >= 0")
 
     generic = ScalarField.generic()
     records = maximal_basis(args.n, args.r, generic)

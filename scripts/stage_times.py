@@ -41,11 +41,14 @@ def stage_times(n: int, r: int, field: ScalarField) -> tuple[dict[str, float], b
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter,
+                                     allow_abbrev=False)
     parser.add_argument("--n", type=int, required=True)
     parser.add_argument("--r", type=int, required=True)
     parser.add_argument("--repeat", type=int, default=1, help="runs per field; each stage prints its minimum")
     args = parser.parse_args()
+    if args.n < 1 or args.r < 0:
+        parser.error("need --n >= 1 and --r >= 0")
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
 

@@ -588,7 +588,10 @@ _Q0_GRAMMAR = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 def _admissible_q0(q0: Fraction | int | str) -> Fraction:
     """q0 as a `Fraction`, from an int, a `Fraction` or num[/den] text (sign,
-    digits, optional /digits); other text, 0, +-1 and n/0 raise `ValueError`."""
+    digits, optional /digits); a float (already rounded), other values or
+    text, 0, +-1 and n/0 raise `ValueError`."""
+    if not isinstance(q0, (int, Fraction, str)):
+        raise ValueError(f"expected an int, a Fraction or num[/den] text, not {type(q0).__name__}")
     if isinstance(q0, str) and not _Q0_GRAMMAR.fullmatch(q0):
         # Fraction also reads exponents, and would spend seconds expanding 1e99999999
         raise ValueError("expected num[/den]")

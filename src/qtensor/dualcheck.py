@@ -17,11 +17,11 @@ index vectors, by table lookup, and then decide their relations on V, V⊗V
 or V⊗V⊗V (Jimbo 1986):
 
 - premises: T_i is one two-site matrix R^(i) on slots (i, i+1), read off its
-  own table; K~_j is diagonal; E_j is the iterated coproduct of a one-site
-  e_j without diagonal entries and a diagonal grouplike kappa_j, both read
-  off E_j's own table (F_j mirrored: f_j, with kappa'_j on the right); K_j is
-  c_j k_j⊗...⊗k_j with k_j(j mod n + 1) = 1, and K_j^-1 likewise
-  c'_j k'_j⊗...⊗k'_j; and, for U1-U7 only, c_j c'_j = 1 and kappa_j =
+  own table; E_j is the iterated coproduct of a one-site e_j without
+  diagonal entries and a diagonal grouplike kappa_j, both read off E_j's own
+  table (F_j mirrored: f_j, with kappa'_j on the right); K_j is c_j
+  k_j⊗...⊗k_j with k_j(j mod n + 1) = 1, and K~_j and K_j^-1 likewise (K_j^-1
+  as c'_j k'_j⊗...⊗k'_j); and, for U1-U7 only, c_j c'_j = 1 and kappa_j =
   k_j k_{j+1}^-1 = q^(δ(a,j) - δ(a,j+1)) at each letter a, kappa'_j its
   inverse;
 - U1-U7 (r > 1) hold on V^{⊗r} when they hold on V for e_j, f_j, k_j and
@@ -36,11 +36,12 @@ or V⊗V⊗V (Jimbo 1986):
 - Hecke and commuting lemmas: the quadratic row, with its support check, is
   R^(i)'s on V⊗V; the braid row is R^(i)_12 R^(i+1)_23 R^(i)_12 =
   R^(i+1)_23 R^(i)_12 R^(i+1)_23 on V⊗V⊗V; far commutation follows from
-  disjoint slots; a diagonal generator commutes with T_i at idx when its
-  eigenvalue is the same on idx and every key of T_i v_idx, and K_j^-1
-  inverts K_j when c_j c'_j = 1 and k_j(a) k'_j(a) = 1 at each letter a;
-  [E_j, T_i] = 0 when [Δ(E_j), R^(i)] = 0 on V⊗V and, if i < r-1,
-  [kappa_j⊗kappa_j, R^(i)] = 0 (for F_j: if i > 1);
+  disjoint slots; K_j^-1 inverts K_j when c_j c'_j = 1 and k_j(a) k'_j(a) =
+  1 at each letter a; a tensor power c k⊗...⊗k (K~_j or K_j) commutes with
+  T_i when k⊗k commutes with R^(i) on V⊗V, that is k(a)k(b) = k(c)k(d)
+  wherever R^(i) takes ab to cd; [E_j, T_i] = 0 when [Δ(E_j), R^(i)] = 0 on
+  V⊗V and, if i < r-1, kappa_j⊗kappa_j commutes with R^(i) (for F_j: if
+  i > 1);
 - fallback: a (relation, generator, i) pair that no lemma proves, because a
   premise or the local check fails, is decided by comparing words on all n^r
   vectors, as the exhaustive suite does it.  Only the local ⇒ global
@@ -48,15 +49,16 @@ or V⊗V⊗V (Jimbo 1986):
   row's verdict is the exhaustive one, and a failing row's ``detail`` names
   its first failing pair at its first failing index, with the residual.
 
-Each generator's image of each basis vector is computed once by the tensor
-action itself (looked up in this module when the suite runs, so a replaced
-action is the one checked, and only ever asked for degree-r images) and kept
-in a table shared by the three suites of one ``verify_stages`` run.
-Words are applied by ``tensorspace._word_images``, the package's one word
-recursion: a word's image on a basis vector is its suffix's image pushed
-through the head's table, memoised per basis vector.  The relations'
-right-hand sides, the Specht residuals and the rank elimination of the
-root-vector check are sums through ``tensorspace.lincomb``.
+Each generator's table holds its images of all n^r basis vectors, computed
+in one pass by the tensor action itself (looked up in this module when the
+suite runs, so a replaced action is the one checked) when a suite first asks
+for it, as every premise check reads every entry; the tables are shared by
+the three suites of one ``verify_stages`` run.  Words are applied by
+``tensorspace._word_images``, the package's one word recursion: a word's
+image on a basis vector is its suffix's image pushed through the head's
+table, memoised per basis vector.  The relations' right-hand sides, the
+Specht residuals and the rank elimination of the root-vector check are sums
+through ``tensorspace.lincomb``.
 """
 
 from __future__ import annotations
@@ -330,6 +332,8 @@ def root_vector_check(lam: Partition, n: int, field: ScalarField) -> RootVectorR
     to a highest-weight vector in tensor space and re-check independence of
     the nonvanishing images.  Only the first walk vector of the shape is
     needed, so it is built directly rather than through ``maximal_basis``."""
+    if lam.nrows > n:
+        raise ValueError(f"{lam} has more than {n} rows")
     for j in range(1, n):
         if lam.row(j) - lam.row(j + 1) == 0:
             raise ValueError(f"weight {lam} has a vanishing coroot pairing at {j}")
@@ -388,49 +392,34 @@ def _apply_K_inverse(i: int, v: TensorVector) -> TensorVector:
     return apply_K(i, v, inverse=True)
 
 
-class _Table(dict):
-    """One generator's images of the index basis vectors, filled on lookup."""
-
-    def __init__(self, words: _Words, gen: tuple):
-        super().__init__()
-        self.words = words
-        self.gen = gen
-
-    def __missing__(self, idx: tuple[int, ...]) -> dict:
-        action, i = self.gen
-        words = self.words
-        shared, by_id = words.shared, words.by_id
-        image = self[shared.setdefault(idx, idx)] = {
-            shared.setdefault(k, k): (by_id.get(id(c)) or words.share_new(c))[1]
-            for k, c in action(i, words.zero(len(idx))._fresh({idx: words.one})).coeffs.items()}
-        return image
-
-
 class _Words:
-    """Images of generator words on the index basis vectors, shared by the
-    suites of one battery.
+    """Images of generator words on the index basis vectors of degree r,
+    shared by the suites of one battery.
 
-    A generator is a pair (action, i) such as (apply_E, 2).  Its image on a
-    basis vector is computed once, by the action itself, and kept in a table.
-    Equal table coefficients share one object (there are few distinct ones,
-    mostly powers of q), and so do equal index tuples, which keeps the tables
-    of a whole battery small; a coefficient equal to one is ``self.one``, so
-    composing skips those products.  ``words(g1, ..., gk)`` is g1(...gk(v))
-    for the current basis vector v, memoised by suffix until ``start`` moves
-    on to the next basis vector.  A generator may also be any key whose table
-    is put in ``tables`` whole, such as a local form on V⊗V; ``forms`` keeps
-    each generator's local form (``_cached``) for every suite that uses it.
+    A generator is a pair (action, i) such as (apply_E, 2).  Its table holds
+    its images of all n^r basis vectors, computed whole by the action itself
+    when the generator is first asked for (every premise check reads every
+    entry).  Equal table coefficients share one object (there are few
+    distinct ones, mostly powers of q), and so do equal index tuples, which
+    keeps the tables of a whole battery small; a coefficient equal to one is
+    ``self.one``, so composing skips those products.  ``words(g1, ..., gk)``
+    is g1(...gk(v)) for the current basis vector v, memoised by suffix until
+    ``start`` moves on to the next basis vector.  A generator may also be any
+    key whose table is put in ``tables`` whole, such as a local form on V⊗V;
+    ``forms`` keeps each generator's local form (``_cached``) for every suite
+    that uses it.
     """
 
-    def __init__(self, field: ScalarField, n: int):
+    def __init__(self, field: ScalarField, n: int, r: int):
         self.field = field
         self.n = n
+        self.r = r
         self.one = field.one()
         self.shared = {self.one: self.one}
         self.by_id: dict = {}
         self.tables: dict = {}
         self.forms: dict = {}
-        self.zero = functools.cache(functools.partial(TensorVector.zero, field, n))
+        self.zero = TensorVector.zero(field, n, r)
 
     def share(self, x):
         return self.shared.setdefault(x, x)
@@ -446,7 +435,12 @@ class _Words:
     def table(self, gen) -> dict:
         table = self.tables.get(gen)
         if table is None:
-            table = self.tables[gen] = _Table(self, gen)
+            (action, i), shared, by_id = gen, self.shared, self.by_id
+            table = self.tables[gen] = {
+                shared.setdefault(idx, idx): {
+                    shared.setdefault(k, k): (by_id.get(id(c)) or self.share_new(c))[1]
+                    for k, c in action(i, self.zero._fresh({idx: self.one})).coeffs.items()}
+                for idx in _all_indices(self.n, self.r)}
         return table
 
     def start(self, idx: tuple[int, ...]) -> dict:
@@ -464,13 +458,13 @@ class _Words:
     def __call__(self, *word) -> dict:
         return self._image(word)
 
-    def render(self, coeffs: dict, r: int) -> str:
-        return str(self.zero(r)._fresh(coeffs))
+    def render(self, coeffs: dict) -> str:
+        return str(self.zero._fresh(coeffs))
 
-    def residual(self, idx: tuple[int, ...], lhs: dict, rhs: dict) -> str | None:
+    def residual(self, lhs: dict, rhs: dict) -> str | None:
         """None when the two sides agree, else lhs - rhs rendered."""
         one = self.one
-        return None if lhs == rhs else "residual " + self.render(lincomb(((one, lhs), (-one, rhs)), one), len(idx))
+        return None if lhs == rhs else "residual " + self.render(lincomb(((one, lhs), (-one, rhs)), one))
 
 
 def _vec(idx: tuple[int, ...]) -> str:
@@ -489,12 +483,12 @@ def check_quantum_relations(n: int, r: int, field: ScalarField, *,
     with the other two suites.
     """
     if words is None:
-        words = _Words(field, n)
-    local = _one_site(words, r) if r > 1 else _Words(field, n)
+        words = _Words(field, n, r)
+    local = _one_site(words) if r > 1 else _Words(field, n, r)
     proved = local is not None and all(
-        _scan(local, _all_indices(n, min(r, 1)), fails) is None
+        _scan(local, _all_indices(n, local.r), fails) is None
         for _, pairs in _quantum_rows(local) for _, fails in pairs)
-    return [_decide(words, r, name, ((label, proved, fails) for label, fails in pairs))
+    return [_decide(words, name, ((label, proved, fails) for label, fails in pairs))
             for name, pairs in _quantum_rows(words)]
 
 
@@ -510,14 +504,14 @@ def _quantum_rows(words: _Words) -> list[tuple[str, list]]:
 
     def sums(lhs, rhs):
         side = lambda terms: lincomb([(s, words(*w)) for s, w in terms], one)
-        return lambda idx, v: words.residual(idx, side(lhs), side(rhs))
+        return lambda idx, v: words.residual(side(lhs), side(rhs))
 
     def commutator(i, j):
         def fails(idx, v):
             rhs = words(F[j], E[i])
             if i == j:  # the balanced q-integer of the content difference
                 rhs = lincomb([(one, rhs), (words.field.qint(idx.count(i) - idx.count(i + 1)), v)], one)
-            return words.residual(idx, words(E[i], F[j]), rhs)
+            return words.residual(words(E[i], F[j]), rhs)
 
         return f"[E_{i}, F_{j}]" + (f" - [m_{i} - m_{i + 1}]" if i == j else ""), fails
 
@@ -557,15 +551,15 @@ def _quadratic(words: _Words, t, i: int = 1):
         image = words(t)
         swapped = idx[:i - 1] + (idx[i], idx[i - 1]) + idx[i + 1:]
         if not image.get(swapped) or not image.keys() <= {idx, swapped}:
-            return (f"image {words.render(image, len(idx))} is not on {_vec(idx)} and {_vec(swapped)}"
+            return (f"image {words.render(image)} is not on {_vec(idx)} and {_vec(swapped)}"
                     f" with a nonzero {_vec(swapped)} term")
-        return words.residual(idx, words(t, t), lincomb([(qdiff, image), (one, v)], one))
+        return words.residual(words(t, t), lincomb([(qdiff, image), (one, v)], one))
 
     return fails
 
 
 def _equal(words: _Words, lhs: tuple, rhs: tuple):
-    return lambda idx, v: words.residual(idx, words(*lhs), words(*rhs))
+    return lambda idx, v: words.residual(words(*lhs), words(*rhs))
 
 
 def _scan(words: _Words, indices, fails):
@@ -580,19 +574,19 @@ def _scan(words: _Words, indices, fails):
 def _locally(words: _Words, rank: int, tables: dict, relation) -> bool:
     """Whether ``relation(local)`` holds on all n^rank index vectors, where
     ``local`` composes the given tables (whole, on the n^rank index tuples)."""
-    local = _Words(words.field, words.n)
+    local = _Words(words.field, words.n, rank)
     local.tables.update(tables)
     return _scan(local, _all_indices(words.n, rank), relation(local)) is None
 
 
-def _decide(words: _Words, r: int, name: str, pairs) -> CheckResult:
+def _decide(words: _Words, name: str, pairs) -> CheckResult:
     """One row from (label, holds, fails) triples in witness order.  A pair
     whose local lemma ``holds`` is proved; any other is decided by ``fails``
     on every basis vector, as the exhaustive suite does.  The row's witness
     is its first failing pair at the first failing index."""
     for label, holds, fails in pairs:
         if not holds:
-            found = _scan(words, _all_indices(words.n, r), fails)
+            found = _scan(words, _all_indices(words.n, words.r), fails)
             if found:
                 return CheckResult(name, False, f"{label} at {_vec(found[0])}: {found[1]}")
     return CheckResult(name, True)
@@ -605,45 +599,33 @@ def _on_slots(R: dict, n: int, rank: int, s: int) -> dict:
 
 
 def _cached(form):
-    """``form(words, r, gen, ...)``, computed once per generator and kept in
+    """``form(words, gen, ...)``, computed once per generator and kept in
     ``words.forms`` for every suite that asks for it."""
 
     @functools.wraps(form)
-    def cached(words: _Words, r: int, gen, *args):
+    def cached(words: _Words, gen, *args):
         key = (form.__name__, gen)
         if key not in words.forms:
-            words.forms[key] = form(words, r, gen, *args)
+            words.forms[key] = form(words, gen, *args)
         return words.forms[key]
 
     return cached
 
 
 @_cached
-def _two_site(words: _Words, r: int, t) -> dict | None:
+def _two_site(words: _Words, t) -> dict | None:
     """R^(i) for t = T_i: the table on V⊗V read off T_i's images of the
     indices whose letters off slots (i, i+1) are 1, or None unless every
     T_i v_idx is R^(i) on those slots and the identity elsewhere."""
-    table, i, R = words.table(t), t[1], {}
-    for idx in _all_indices(words.n, r):
+    i, R = t[1], {}
+    for idx, image in words.table(t).items():
         head, ab, tail = idx[:i - 1], idx[i - 1:i + 1], idx[i + 1:]
         local = R.get(ab)
         if local is None:
-            local = R[ab] = {k[i - 1:i + 1]: c for k, c in table[idx].items()}
-        if {head + cd + tail: c for cd, c in local.items()} != table[idx]:
+            local = R[ab] = {k[i - 1:i + 1]: c for k, c in image.items()}
+        if {head + cd + tail: c for cd, c in local.items()} != image:
             return None
     return R
-
-
-@_cached
-def _eigenvalues(words: _Words, r: int, gen) -> dict | None:
-    """gen's eigenvalue at each index, or None unless gen is diagonal."""
-    table, zero, lam = words.table(gen), words.field.zero(), {}
-    for idx in _all_indices(words.n, r):
-        image = table[idx]
-        if len(image) > 1 or image and idx not in image:
-            return None
-        lam[idx] = image.get(idx, zero)
-    return lam
 
 
 def _products(words: _Words, k: dict, start):
@@ -677,16 +659,16 @@ def _coproduct_images(words: _Words, e: dict, kappa: dict, indices, right: bool)
 
 
 @_cached
-def _coproduct_form(words: _Words, r: int, gen, right: bool) -> tuple | None:
-    """The one-site (e, kappa), if gen's table on all n^r vectors (r > 1) is
-    the iterated coproduct of a one-site e with no diagonal entry (so the
+def _coproduct_form(words: _Words, gen, right: bool) -> tuple | None:
+    """(e, kappa, Δ(gen) on V⊗V), if gen's table on all n^r vectors (r > 1)
+    is the iterated coproduct of a one-site e with no diagonal entry (so the
     slots' terms never meet) and a diagonal grouplike kappa, else None.  e(a)
     is read off the image of (a, 1, ..., 1), and kappa(a) off the second
     slot's term in that of (a, b, 1, ..., 1), for a b with a nonzero
     coefficient in e(b); with ``right``, all is mirrored (the last slots,
     kappa on the right)."""
     n, one, table = words.n, words.one, words.table(gen)
-    letters, fill = range(1, n + 1), (1,) * (r - 1)
+    letters, fill = range(1, n + 1), (1,) * (words.r - 1)
     flip = (lambda t: t[::-1]) if right else (lambda t: t)
     e = {a: {flip(k)[0]: c for k, c in table[flip((a,) + fill)].items() if flip(k)[1:] == fill} for a in letters}
     b, b2, c = next(((b, b2, c) for b in letters for b2, c in e[b].items() if c), (None,) * 3)
@@ -695,36 +677,40 @@ def _coproduct_form(words: _Words, r: int, gen, right: bool) -> tuple | None:
     rest = fill[1:]
     kappa = {a: words.share(x if c is one else x / c) for a in letters
              for x in [table[flip((a, b) + rest)].get(flip((a, b2) + rest), words.field.zero())]}
-    if not all(image == table[idx] for idx, image in _coproduct_images(words, e, kappa, _all_indices(n, r), right)):
+    if not all(image == table[idx] for idx, image in _coproduct_images(words, e, kappa, table, right)):
         return None
-    return e, kappa
+    return e, kappa, dict(_coproduct_images(words, e, kappa, _all_indices(n, 2), right))
 
 
 @_cached
-def _tensor_power(words: _Words, r: int, gen) -> tuple | None:
+def _tensor_power(words: _Words, gen) -> tuple | None:
     """(c, k), if gen = (action, j) is diagonal and its table on all n^r
     vectors is c k⊗...⊗k for a one-site k with k(b) = 1, where b = j mod n + 1
     (so for the true K_j and n > 1, c = 1 and k(a) = q^δ(a,j)), else None.
-    At r = 0, k is 1 and c the one eigenvalue."""
-    lam, b = _eigenvalues(words, r, gen), (gen[1] % words.n + 1,)
-    c = lam and lam[b * r]
+    At r = 0, k is 1 and c the one eigenvalue.  Products are taken over
+    sorted indices, so only sorted prefixes are multiplied out."""
+    table, zero, r, b = words.table(gen), words.field.zero(), words.r, (gen[1] % words.n + 1,)
+    if any(len(image) > 1 or image and idx not in image for idx, image in table.items()):
+        return None
+    lam = lambda idx: table[idx].get(idx, zero)
+    c = lam(b * r)
     if not c:
         return None
-    k = {a: words.share(lam[(a,) + b * (r - 1)] / c) if r else words.one for a in range(1, words.n + 1)}
+    k = {a: words.share(lam((a,) + b * (r - 1)) / c) if r else words.one for a in range(1, words.n + 1)}
     product = _products(words, k, c)
-    return (c, k) if {idx: product(idx) for idx in lam} == lam else None
+    return (c, k) if all(lam(idx) == product(tuple(sorted(idx))) for idx in table) else None
 
 
-def _one_site(words: _Words, r: int) -> _Words | None:
+def _one_site(words: _Words) -> _Words | None:
     """The one-site forms of E_j, F_j, K_j and K_j^-1 on V, as tables on the
     1-tuples of a new `_Words` under the same keys, if every premise of the
     quantum suite holds on all n^r vectors (r > 1; module docstring), else
     None."""
     n, field = words.n, words.field
     letters = range(1, n + 1)
-    local, k = _Words(field, n), {}
+    local, k = _Words(field, n, 1), {}
     for j in letters:
-        forms = [_tensor_power(words, r, (action, j)) for action in (apply_K, _apply_K_inverse)]
+        forms = [_tensor_power(words, (action, j)) for action in (apply_K, _apply_K_inverse)]
         if None in forms or forms[0][0] * forms[1][0] != words.one:
             return None
         k[j] = forms[0][1]
@@ -735,7 +721,7 @@ def _one_site(words: _Words, r: int) -> _Words | None:
         if any(field.q_power(h[a]) * k[j + 1][a] != k[j][a] for a in letters):
             return None
         for action, sign in ((apply_E, 1), (apply_F, -1)):
-            form = _coproduct_form(words, r, (action, j), sign < 0)
+            form = _coproduct_form(words, (action, j), sign < 0)
             if form is None or form[1] != {a: field.q_power(sign * h[a]) for a in letters}:
                 return None
             local.tables[action, j] = {(a,): {(b,): x for b, x in form[0][a].items()} for a in letters}
@@ -752,9 +738,9 @@ def check_hecke_relations(n: int, r: int, field: ScalarField, *,
     two-site matrices, the rows are decided on V⊗V and V⊗V⊗V (module
     docstring)."""
     if words is None:
-        words = _Words(field, n)
+        words = _Words(field, n, r)
     T = {i: (apply_T, i) for i in range(1, r)}
-    R = {i: _two_site(words, r, T[i]) for i in T}
+    R = {i: _two_site(words, T[i]) for i in T}
     quadratic = ((f"T_{i}^2 - (q - q^-1) T_{i} - 1",
                   R[i] is not None and _locally(words, 2, {"T": R[i]}, lambda w: _quadratic(w, "T")),
                   _quadratic(words, T[i], i)) for i in T)
@@ -766,9 +752,9 @@ def check_hecke_relations(n: int, r: int, field: ScalarField, *,
     far = ((f"T_{i} T_{j} - T_{j} T_{i}", None not in (R[i], R[j]), _equal(words, (T[i], T[j]), (T[j], T[i])))
            for i in T for j in range(i + 2, r))
     return [
-        _decide(words, r, "quadratic relation", quadratic),
-        _decide(words, r, "braid relation", braid),
-        _decide(words, r, "far commutation of transpositions", far),
+        _decide(words, "quadratic relation", quadratic),
+        _decide(words, "braid relation", braid),
+        _decide(words, "far commutation of transpositions", far),
     ]
 
 
@@ -778,53 +764,41 @@ def check_commuting_actions(n: int, r: int, field: ScalarField, *,
     basis vector: E_j, F_j, the coroot grouplikes and K_j against every T_i.
     K_j^-1 is checked to invert K_j, so it commutes with the T_i as well; for
     tensor powers c k⊗...⊗k, by their scalars and one-site eigenvalues.
-    Where the other generators have their local forms, the pairs are decided
-    on V⊗V or by eigenvalues (module docstring)."""
+    Where the generators have their local forms, every pair is decided from
+    one-site and two-site data (module docstring)."""
     if words is None:
-        words = _Words(field, n)
+        words = _Words(field, n, r)
     T = {i: (apply_T, i) for i in range(1, r)}
-    R = {i: _two_site(words, r, T[i]) for i in T}
+    R = {i: _two_site(words, T[i]) for i in T}
     K = {j: (apply_K, j) for j in range(1, n + 1)}
     K_inv = {j: (_apply_K_inverse, j) for j in K}
     gens = [(f"{x}_{j}", (action, j)) for x, action in (("E", apply_E), ("F", apply_F), ("K~", apply_tK))
             for j in range(1, n)] + [(f"K_{j}", K[j]) for j in K]
-    indices2, forms = list(_all_indices(n, 2)), {}
-    for _, gen in gens[:2 * n - 2] if T else ():
-        # (Δ(gen), K⊗K) on V⊗V
-        form = forms[gen] = _coproduct_form(words, r, gen, gen[0] is apply_F)
-        if form:
-            forms[gen] = (dict(_coproduct_images(words, *form, indices2, gen[0] is apply_F)),
-                          {ab: {ab: form[1][ab[0]] * form[1][ab[1]]} for ab in indices2})
-    lam = {gen: _eigenvalues(words, r, gen) for _, gen in gens[2 * n - 2:]}
-    # the eigenvalues at each index of the diagonal generators among gens
-    diagonal = dict(zip(_all_indices(n, r), zip(*[lam[g].values() for _, g in gens[2 * n - 2:] if lam[g]])))
 
-    def keeps(i, ev):
-        """Whether ev, a dict on the indices, is the same on each idx and the keys of T_i v_idx."""
-        table = words.table(T[i])
-        return all(ev.get(k) == ev[idx] for idx in _all_indices(n, r) for k in table[idx])
-
-    kept = {i: bool(diagonal) and keeps(i, diagonal) for i in T}
+    def keeps(i, k):
+        """Whether k⊗k commutes with R^(i): k(a)k(b) = k(c)k(d) wherever R^(i) takes ab to cd."""
+        return all(k[a] * k[b] == k[c] * k[d] for (a, b), image in R[i].items() for c, d in image)
 
     def inverts(j):
-        powers = _tensor_power(words, r, K[j]), _tensor_power(words, r, K_inv[j])
+        powers = _tensor_power(words, K[j]), _tensor_power(words, K_inv[j])
         if None in powers:
             return False
         (c, k), (c_inv, k_inv) = powers
         return c * c_inv == words.one and all(k[a] * k_inv[a] == words.one for a in k)
 
     def commutes(gen, i):
-        if gen in lam:
-            return lam[gen] is not None and (kept[i] or keeps(i, lam[gen]))
-        if forms[gen] is None or R[i] is None:
+        if R[i] is None:
             return False
-        commutator = lambda w: _equal(w, "XT", "TX")
-        # E's terms on slots after i+1 (F's: before i) put K⊗K on T_i's slots
+        if gen[0] not in (apply_E, apply_F):  # c k⊗...⊗k commutes with T_i when k⊗k does with R^(i)
+            power = _tensor_power(words, gen)
+            return power is not None and keeps(i, power[1])
+        form = _coproduct_form(words, gen, gen[0] is apply_F)
+        # E's terms on slots after i+1 (F's: before i) put kappa⊗kappa on T_i's slots
         last = 1 if gen[0] is apply_F else r - 1
-        return (_locally(words, 2, {"X": forms[gen][0], "T": R[i]}, commutator)
-                and (i == last or _locally(words, 2, {"X": forms[gen][1], "T": R[i]}, commutator)))
+        return (form is not None and (i == last or keeps(i, form[1]))
+                and _locally(words, 2, {"X": form[2], "T": R[i]}, lambda w: _equal(w, "XT", "TX")))
 
-    return _decide(words, r, "commuting actions", itertools.chain(
+    return _decide(words, "commuting actions", itertools.chain(
         ((f"K_{j} K_{j}^-1 - 1", inverts(j), _equal(words, (K[j], K_inv[j]), ())) for j in K),
         ((f"[{label}, T_{i}]", commutes(gen, i), _equal(words, (gen, T[i]), (T[i], gen)))
          for i in T for label, gen in gens)))
@@ -872,7 +846,7 @@ def verify_stages(n: int, r: int, field: ScalarField):
     )
     yield "counting", [CheckResult("counting", dim_ok, f"{len(records)} = sum of tableau counts")]
 
-    words = _Words(field, n)
+    words = _Words(field, n, r)
     yield "quantum", check_quantum_relations(n, r, field, words=words)
     yield "Hecke", check_hecke_relations(n, r, field, words=words)
     yield "commuting", [check_commuting_actions(n, r, field, words=words)]

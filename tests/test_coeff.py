@@ -116,7 +116,7 @@ def test_division_by_zero():
 def test_specialize_examples():
     assert specialize(RatFunc.from_laurent(qint(2)), 2) == Fraction(5, 2)
     assert specialize(RatFunc.from_laurent(qint(3)), 3) == Fraction(91, 9)
-    for bad in (0, 1, -1):
+    for bad in (0, 1, -1, 0.5):  # a float is already rounded, so it is refused too
         with pytest.raises(ValueError):
             specialize(RatFunc.from_laurent(qint(2)), bad)
 
@@ -240,9 +240,10 @@ def test_scalar_field_dispatch():
     assert spec.parse(str(spec.qint(3))) == spec.qint(3)
     for bad, reason in ((0, "q0 = 0 is excluded"), (1, "q0 = 1 is excluded"), (-1, "q0 = -1 is excluded"),
                         ("1e99999999", "expected num"), ("0.5", "expected num"), ("1/0", "zero denominator"),
-                        ("x", "expected num")):
-        with pytest.raises(ValueError, match=reason):
-            ScalarField.at(bad)
+                        ("x", "expected num"), (0.1, "text, not float"), (2.5, "text, not float")):
+        for make in (ScalarField, ScalarField.at):
+            with pytest.raises(ValueError, match=reason):
+                make(bad)
     # text, Fraction and the constructor give one field, of one class
     same = [ScalarField("3/2"), ScalarField.at(Fraction(3, 2)), ScalarField.at("3/2")]
     assert same[0] == same[1] == same[2] and len({type(f) for f in same}) == 1

@@ -216,6 +216,9 @@ def test_root_vector_reports():
     assert rep.ok and len(rep.entries) == 4 * 3 // 2
     with pytest.raises(ValueError):
         root_vector_check(P((2, 2)), 3, GEN)
+    # refused up front, as specht_matrices does, not an IndexError from the walk enumeration
+    with pytest.raises(ValueError, match="^3,2,1 has more than 2 rows$"):
+        root_vector_check(P((3, 2, 1)), 2, GEN)
 
 
 def test_verify_suite_passes():
@@ -348,7 +351,7 @@ def exhaustive_commuting_actions(n, r, field):
 def _relation_rows(n, r, field):
     """{row name: verdict} of the Hecke and commuting suites, sharing tables
     as a battery does."""
-    words = dualcheck._Words(field, n)
+    words = dualcheck._Words(field, n, r)
     rows = check_hecke_relations(n, r, field, words=words) + [check_commuting_actions(n, r, field, words=words)]
     assert all(c.detail == "" for c in rows if c.ok)
     return {c.name: c.ok for c in rows}
@@ -380,7 +383,7 @@ def test_local_suites_pass_without_a_scan(n, r, field, monkeypatch):
     # the true actions meet every premise and every local lemma, so no pair
     # falls back to comparing words on the n^r vectors; at r <= 1 this reads
     # K_j and K_j^-1 as tensor powers of degree 0 and 1
-    words, scan, fallbacks = dualcheck._Words(field, n), dualcheck._scan, []
+    words, scan, fallbacks = dualcheck._Words(field, n, r), dualcheck._scan, []
 
     def spy(w, indices, fails):
         fallbacks.extend([w] if w is words else [])
@@ -473,12 +476,12 @@ def _nilpotent_K1(real):
 
 def _broken_premises(n, r, field):
     """The generators whose local form the suites cannot use."""
-    words = dualcheck._Words(field, n)
-    broken = {f"T_{i}" for i in range(1, r) if dualcheck._two_site(words, r, (dualcheck.apply_T, i)) is None}
+    words = dualcheck._Words(field, n, r)
+    broken = {f"T_{i}" for i in range(1, r) if dualcheck._two_site(words, (dualcheck.apply_T, i)) is None}
     broken |= {f"{x}_{j}" for x, right in (("E", False), ("F", True)) for j in range(1, n)
-               if dualcheck._coproduct_form(words, r, (getattr(dualcheck, "apply_" + x), j), right) is None}
+               if dualcheck._coproduct_form(words, (getattr(dualcheck, "apply_" + x), j), right) is None}
     broken |= {f"{x}_{j}" for x, action, m in (("K~", dualcheck.apply_tK, n - 1), ("K", dualcheck.apply_K, n))
-               for j in range(1, m + 1) if dualcheck._eigenvalues(words, r, (action, j)) is None}
+               for j in range(1, m + 1) if dualcheck._tensor_power(words, (action, j)) is None}
     return broken
 
 
@@ -534,15 +537,15 @@ def _broken_quantum_premises(n, r, field):
     and K_j^-1 not inverse ("c_j"), E_j or F_j off its coproduct form, or its
     grouplike not K~_j = k_j k_{j+1}^-1 = q^(δ(a,j) - δ(a,j+1)) (K~_j^-1 for
     F_j)."""
-    words, q, letters = dualcheck._Words(field, n), field.q_power, range(1, n + 1)
-    k = {(x, j): dualcheck._tensor_power(words, r, (action, j))
+    words, q, letters = dualcheck._Words(field, n, r), field.q_power, range(1, n + 1)
+    k = {(x, j): dualcheck._tensor_power(words, (action, j))
          for x, action in (("K", dualcheck.apply_K), ("K^-1", dualcheck._apply_K_inverse)) for j in letters}
     broken = {f"{x}_{j}" for (x, j), form in k.items() if form is None}
     broken |= {f"c_{j}" for j in letters
                if None not in (k["K", j], k["K^-1", j]) and k["K", j][0] * k["K^-1", j][0] != field.one()}
     for x, sign in (("E", 1), ("F", -1)):
         for j in range(1, n):
-            form = dualcheck._coproduct_form(words, r, (getattr(dualcheck, "apply_" + x), j), sign < 0)
+            form = dualcheck._coproduct_form(words, (getattr(dualcheck, "apply_" + x), j), sign < 0)
             h = {a: (a == j) - (a == j + 1) for a in letters}
             if form is None:
                 broken.add(f"{x}_{j}")
@@ -571,7 +574,8 @@ def test_a_broken_quantum_premise_falls_back_to_the_exhaustive_verdicts(mutant, 
         monkeypatch.setattr(dualcheck, "apply_E", _squared_grouplike_E1(dualcheck.apply_E))
         broken = "grouplike of E_1"
     assert _broken_quantum_premises(n, r, field) == {broken}
-    assert _broken_premises(n, r, field) == set()
+    # a K_j that is not a tensor power is a broken commuting premise as well
+    assert _broken_premises(n, r, field) == ({"K_1"} if mutant == "K_1 not a tensor power" else set())
     verdicts = _quantum_verdicts(n, r, field)
     assert verdicts == exhaustive_quantum_relations(n, r, field) and not all(verdicts.values())
 
@@ -662,6 +666,30 @@ def test_raising_pair_needs_the_grouplike_condition(field, monkeypatch):
     E1, T1 = partial(dualcheck.apply_E, 1), partial(dualcheck.apply_T, 1)
     assert check_commuting_actions(2, 3, field).detail == "[E_1, T_1] at " + _first_residual(
         field, 2, 3, lambda v: E1(T1(v)), lambda v: T1(E1(v)))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
+@pytest.mark.parametrize("n,r", [(2, 2), (3, 3), (2, 4)])
+def test_diagonal_pairs_need_their_one_site_factors_to_commute_with_R(n, r, field, monkeypatch):
+    # E_j and F_j act as zero, so their pairs hold; T_i followed by swapping
+    # the letters 1 and 2 in slot i is still a two-site matrix, but it moves
+    # letter content: the one-site factors k⊗k of K~_j and K_j no longer
+    # commute with R^(i), and the row fails as its oracle does
+    real = dualcheck.apply_T
+
+    def apply_T(i, v):
+        swap = {1: 2, 2: 1}
+        return TensorVector(v.field, v.n, v.r, {idx[:i - 1] + (swap.get(idx[i - 1], idx[i - 1]),) + idx[i:]: c
+                                                for idx, c in real(i, v).coeffs.items()})
+
+    zero = lambda i, v: TensorVector.zero(v.field, v.n, v.r)
+    monkeypatch.setattr(dualcheck, "apply_E", zero)
+    monkeypatch.setattr(dualcheck, "apply_F", zero)
+    monkeypatch.setattr(dualcheck, "apply_T", apply_T)
+    assert _broken_premises(n, r, field) == {f"{x}_{j}" for x in "EF" for j in range(1, n)}
+    row = check_commuting_actions(n, r, field)
+    assert {row.name: row.ok} == exhaustive_commuting_actions(n, r, field) == {"commuting actions": False}
+    assert row.detail.startswith("[K~_1, T_1] at ")
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
@@ -793,7 +821,7 @@ def test_tabulated_words_match_direct_actions(case):
     direct = v
     for action, i in reversed(word):
         direct = action(i, direct)
-    words = dualcheck._Words(v.field, v.n)
+    words = dualcheck._Words(v.field, v.n, v.r)
     images = []
     for idx, c in v.coeffs.items():
         words.start(idx)

@@ -4,7 +4,9 @@ Each script runs as its own process against the same qtensor package the
 tests import, and must exit 0 with its success line; `stage_times.py` must
 also print one row per stage, and say when a row is a minimum over runs.
 `run_full_checks.py` reads --q0 by the grammar of the library, so a malformed
-value is a usage error, and parses its flags as the command line does.
+value is a usage error.  Like the command line, every script parses its
+flags in full and refuses sizes it cannot run (or a sweep over nothing) with
+exit 2.
 """
 
 import importlib.util
@@ -67,6 +69,20 @@ def test_run_full_checks_takes_no_abbreviated_flag():
     proc = _run_script("run_full_checks.py", ["--q", "3/2"], timeout=30)
     assert proc.returncode == 2 and proc.stdout == ""
     assert "unrecognized arguments: --q 3/2" in proc.stderr
+
+
+@pytest.mark.parametrize("script,args,message", [
+    ("stage_times.py", ["--n", "0", "--r", "2"], "need --n >= 1 and --r >= 0"),
+    ("specialization_sweep.py", ["--n", "0"], "need --n >= 1 and --r >= 0"),
+    ("run_full_checks.py", ["--n-max", "0", "--r-max", "-1"], "the sweep is empty: need --n-max >= 1 and --r-max >= 0"),
+    ("stage_times.py", ["--n", "2", "--r", "2", "--rep", "2"], "unrecognized arguments: --rep 2"),
+])
+def test_scripts_refuse_what_the_cli_refuses(script, args, message):
+    # a usage error, exit 2, before any work: no traceback, and no sweep
+    # over nothing reported as passed
+    proc = _run_script(script, args, timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].endswith(f"error: {message}")
 
 
 def test_check_reference_lists_a_differing_job(monkeypatch, capsys):
