@@ -19,8 +19,6 @@ __all__ = [
     "Partition",
     "Walk",
     "StandardTableau",
-    "addable_rows",
-    "pairing_constants",
     "a_const",
     "c_const",
     "d_const",
@@ -72,7 +70,10 @@ class Partition(_Value):
         return self.parts[i - 1] if i <= len(self.parts) else 0
 
     def addable_rows(self, n: int) -> list[int]:
-        return addable_rows(self, n)
+        """Rows j <= n where a box may be added keeping a partition shape."""
+        if self.nrows > n:
+            raise ValueError(f"{self} has more than {n} parts")
+        return [j for j in range(1, n + 1) if j == 1 or self.row(j - 1) > self.row(j)]
 
     def add_box(self, row: int) -> Partition:
         if row < 1 or (row > 1 and self.row(row - 1) <= self.row(row)):
@@ -97,17 +98,6 @@ def _entry(w: Partition | Weight, i: int) -> int:
     return seq[i - 1] if 1 <= i <= len(seq) else 0
 
 
-def addable_rows(lam: Partition, n: int) -> list[int]:
-    """Rows j <= n where a box may be added keeping a partition shape."""
-    if lam.nrows > n:
-        raise ValueError(f"{lam} has more than {n} parts")
-    out = []
-    for j in range(1, n + 1):
-        if j == 1 or _entry(lam, j - 1) > _entry(lam, j):
-            out.append(j)
-    return out
-
-
 def a_const(w: Partition | Weight, j: int) -> int:
     """Pairing of the j-th simple coroot with the weight."""
     return _entry(w, j) - _entry(w, j + 1)
@@ -128,11 +118,6 @@ def d_const(w: Partition | Weight, j: int, shift: int = 0) -> int:
     if j < 1:
         raise ValueError("j must be >= 1")
     return _entry(w, 1 + shift) - _entry(w, j + 1 + shift) + j - 1
-
-
-def pairing_constants(w: Partition | Weight, j: int) -> tuple[int, int, int]:
-    """(a_j, c_j, d_j) for the given weight."""
-    return a_const(w, j), c_const(w, j), d_const(w, j)
 
 
 class Walk(_Value):

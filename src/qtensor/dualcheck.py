@@ -70,7 +70,6 @@ from .coeff import ScalarField, _Value
 from .combinatorics import (
     Partition,
     Walk,
-    addable_rows,
     count_standard,
     d_const,
     enumerate_walks,
@@ -94,7 +93,6 @@ __all__ = [
     "GramReport",
     "SpechtData",
     "SpechtConsistencyError",
-    "YoungsRuleReport",
     "ShapeRow",
     "DecompositionReport",
     "RootVectorReport",
@@ -104,7 +102,6 @@ __all__ = [
     "gram_check",
     "norm_predict",
     "specht_matrices",
-    "youngs_rule_check",
     "invariants_basis",
     "decomposition_report",
     "root_vector_check",
@@ -209,24 +206,6 @@ def specht_matrices(lam: Partition, n: int, r: int, field: ScalarField) -> Spech
             rows.append(coords)
         t_matrices.append(rows)
     return SpechtData(shape=lam, basis=records, gram_diagonal=norms, t_matrices=t_matrices)
-
-
-class YoungsRuleReport(_Value):
-    __slots__ = _fields = ("shape", "n", "lhs", "contributions", "ok")
-
-
-def youngs_rule_check(lam: Partition, n: int) -> YoungsRuleReport:
-    """Dimension identity for tensoring with the vector module: n times the
-    dimension equals the sum over addable rows of the grown dimensions."""
-    lhs = n * weyl_dim(lam, n)
-    contributions = []
-    for j in addable_rows(lam, n):
-        mu = lam.add_box(j)
-        contributions.append((j, mu, weyl_dim(mu, n)))
-    return YoungsRuleReport(
-        shape=lam, n=n, lhs=lhs, contributions=contributions,
-        ok=lhs == sum(d for _, _, d in contributions),
-    )
 
 
 def invariants_basis(n: int, r: int, field: ScalarField) -> list[MaximalVectorRecord]:

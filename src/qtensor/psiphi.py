@@ -33,7 +33,6 @@ __all__ = [
     "is_maximal",
     "xi_map",
     "jimbo_root_vectors",
-    "jimbo_pivot_agreement",
 ]
 
 NegWord = tuple[int, ...]
@@ -217,28 +216,19 @@ def apply_neg(e: NegElement, v: TensorVector) -> TensorVector:
 # -- box-adding operators --------------------------------------------------------
 
 
-def phi(m: int, weight, b: TensorVector, shift: int = 0, validate: bool = False) -> TensorVector:
+def phi(m: int, weight, b: TensorVector, shift: int = 0) -> TensorVector:
     """Add a box in row m: maps a highest-weight vector of the given weight to
     one of that weight plus a unit in row m, in one more tensor factor (new
     factor on the left).
 
     ``shift`` gives the shifted variant used by the recursion consistency
-    checks.  With ``validate`` the highest-weight precondition on ``b`` is
-    checked instead of being caller-asserted.
+    checks.
     """
     if m < 1:
         raise ValueError("need m >= 1")
     field = b.field
     if m >= 2 and a_const(weight, m - 1 + shift) == 0:
         raise AddabilityError(f"row {m + shift} is not addable at weight {tuple(weight)}")
-    if validate:
-        if b.r > 0 and not is_maximal(b):
-            raise ValueError("phi input is not a highest-weight vector")
-        if b.r > 0:
-            wt = weight_of(b)
-            want = tuple(weight.parts if isinstance(weight, Partition) else weight)
-            if tuple(wt[: len(want)]) != want or any(x != 0 for x in wt[len(want):]):
-                raise ValueError(f"weight mismatch: vector has {wt}, caller said {want}")
     if m + shift > b.n:
         raise ValueError(f"letter {m + shift} out of range 1..{b.n}")
     # Cleared once: every word below acts on integer numerators at q0, a
@@ -340,27 +330,3 @@ def jimbo_root_vectors(n: int, field: ScalarField) -> tuple[dict, dict]:
             f_hat[(i, j)] = f_hat[(i, k)] * f_hat[(k, j)] - (f_hat[(k, j)] * f_hat[(i, k)]).scale(qinv)
     return e_hat, f_hat
 
-
-def jimbo_pivot_agreement(n: int, field: ScalarField) -> bool:
-    """Exhaustively compare every admissible pivot in the root-vector
-    recursion; True when all pivots give the same element."""
-    q = field.q_power(1)
-    qinv = field.q_power(-1)
-
-    def variants(lo: int, hi: int, raising: bool) -> list[NegElement]:
-        if hi - lo == 1:
-            return [NegElement.generator(field, lo)]
-        out = set()
-        for k in range(lo + 1, hi):
-            for left in variants(lo, k, raising):
-                for right in variants(k, hi, raising):
-                    out.add(left * right - (right * left).scale(q if raising else qinv))
-        return list(out)
-
-    for span in range(2, n):
-        for lo in range(1, n - span + 1):
-            for raising in (True, False):
-                vals = variants(lo, lo + span, raising)
-                if any(v != vals[0] for v in vals[1:]):
-                    return False
-    return True

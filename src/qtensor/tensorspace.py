@@ -17,7 +17,6 @@ immutable; every operation returns a fresh value.
 
 from __future__ import annotations
 
-import json
 from typing import Iterator
 
 from .coeff import ScalarField
@@ -34,8 +33,6 @@ __all__ = [
     "apply_T",
     "bilinear",
     "vector_to_json_dict",
-    "vector_from_json_dict",
-    "vector_to_json",
     "format_vector",
 ]
 
@@ -347,15 +344,6 @@ def bilinear(u: TensorVector, v: TensorVector):
 def vector_to_json_dict(v: TensorVector) -> dict:
     terms = [{"idx": list(idx), "coeff": str(c)} for idx, c in v.iter_terms()]
     return {"n": v.n, "r": v.r, "terms": terms}
-
-
-def vector_from_json_dict(field: ScalarField, obj: dict) -> TensorVector:
-    coeffs = {tuple(t["idx"]): field.parse(t["coeff"]) for t in obj["terms"]}
-    return TensorVector(field, obj["n"], obj["r"], coeffs)
-
-
-def vector_to_json(v: TensorVector) -> str:
-    return json.dumps(vector_to_json_dict(v), separators=(",", ":"))
 
 
 def format_vector(v: TensorVector) -> str:

@@ -11,13 +11,11 @@ from qtensor.combinatorics import (
     StandardTableau,
     Walk,
     a_const,
-    addable_rows,
     c_const,
     count_standard,
     coxeter_elements,
     d_const,
     enumerate_walks,
-    pairing_constants,
     partitions_in,
     tableau_to_walk,
     walk_to_tableau,
@@ -79,15 +77,18 @@ def test_value_type_semantics(name):
 
 
 def test_addable_rows_examples():
-    assert addable_rows(Partition((2, 1)), 3) == [1, 2, 3]
-    assert addable_rows(Partition((2, 2)), 3) == [1, 3]
-    assert addable_rows(Partition((1, 1, 1)), 3) == [1]
+    assert Partition((2, 1)).addable_rows(3) == [1, 2, 3]
+    assert Partition((2, 2)).addable_rows(3) == [1, 3]
+    assert Partition((1, 1, 1)).addable_rows(3) == [1]
 
 
 def test_pairing_constants_examples():
-    assert pairing_constants(Partition((2, 1, 0)), 1) == (1, 0, 1)
-    assert pairing_constants(Partition((2, 1, 0)), 2) == (1, 2, 3)
-    assert pairing_constants(Partition((3, 3, 0)), 1) == (0, 0, 0)
+    def constants(w, j):
+        return a_const(w, j), c_const(w, j), d_const(w, j)
+
+    assert constants(Partition((2, 1, 0)), 1) == (1, 0, 1)
+    assert constants(Partition((2, 1, 0)), 2) == (1, 2, 3)
+    assert constants(Partition((3, 3, 0)), 1) == (0, 0, 0)
 
 
 @given(lam=partitions())

@@ -5,9 +5,9 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtensor import dualcheck, tensorspace
+from qtensor import cli, dualcheck, tensorspace
 from qtensor.coeff import ScalarField, specialize
-from qtensor.combinatorics import Partition, Walk, a_const, c_const, d_const, enumerate_walks, partitions_in
+from qtensor.combinatorics import Partition, Walk, a_const, c_const, d_const, enumerate_walks, partitions_in, weyl_dim
 from qtensor.dualcheck import (
     SpechtConsistencyError,
     check_commuting_actions,
@@ -21,7 +21,6 @@ from qtensor.dualcheck import (
     root_vector_check,
     specht_matrices,
     verify_suite,
-    youngs_rule_check,
 )
 from qtensor.psiphi import apply_neg, build_c_pi, psi
 from qtensor.tensorspace import TensorVector, apply_E, apply_F, apply_K, apply_T, apply_tK, bilinear, lincomb
@@ -155,20 +154,23 @@ def test_specht_invalid_shape():
         specht_matrices(P((3, 1)), 3, 3, GEN)
 
 
+def _grown_dims(lam, n):
+    """Dimensions of the shapes one box larger than lam, by added row."""
+    return [weyl_dim(lam.add_box(j), n) for j in lam.addable_rows(n)]
+
+
 def test_youngs_rule_examples():
-    rep = youngs_rule_check(P((1,)), 2)
-    assert rep.ok and rep.lhs == 4 and sorted(d for _, _, d in rep.contributions) == [1, 3]
-    rep = youngs_rule_check(P((1,)), 3)
-    assert rep.ok and rep.lhs == 9 and sorted(d for _, _, d in rep.contributions) == [3, 6]
-    rep = youngs_rule_check(P((2, 2)), 2)
-    assert rep.ok and rep.lhs == 2 and [d for _, _, d in rep.contributions] == [2]
+    # tensoring with the vector module: n weyl_dim(lam) = sum of weyl_dim(lam + box)
+    assert 2 * weyl_dim(P((1,)), 2) == 4 and sorted(_grown_dims(P((1,)), 2)) == [1, 3]
+    assert 3 * weyl_dim(P((1,)), 3) == 9 and sorted(_grown_dims(P((1,)), 3)) == [3, 6]
+    assert 2 * weyl_dim(P((2, 2)), 2) == 2 and _grown_dims(P((2, 2)), 2) == [2]
 
 
 def test_youngs_rule_sweep():
     for n in (2, 3, 4):
         for r in range(0, 6):
             for lam in partitions_in(n, r):
-                assert youngs_rule_check(lam, n).ok
+                assert n * weyl_dim(lam, n) == sum(_grown_dims(lam, n))
 
 
 def test_invariants_examples():
@@ -790,6 +792,20 @@ def test_hecke_and_commuting_detect_skewed_transposition(field, monkeypatch):
     assert check_commuting_actions(3, 3, field).ok is False
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
+def test_specht_matrices_detect_skewed_transposition(field, monkeypatch):
+    monkeypatch.setattr(dualcheck, "apply_T", _skewed(dualcheck.apply_T))
+    with pytest.raises(SpechtConsistencyError, match=r"T_1 image of walk \[1,1,2\] leaves the span at shape 2,1"):
+        specht_matrices(P((2, 1)), 3, 3, field)
+
+
+def test_specht_command_reports_the_failing_shape(monkeypatch, capsys):
+    monkeypatch.setattr(dualcheck, "apply_T", _skewed(dualcheck.apply_T))
+    assert cli.run_cli(["specht", "--n", "3", "--r", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "shape 2,1: FAIL (T_1 image of walk [1,1,2] leaves the span at shape 2,1)" in lines
+
+
 @st.composite
 def vectors_and_words(draw):
     """A random multi-term vector at a small size, and a random word of
@@ -865,7 +881,6 @@ REPORTS = {
     "GramReport": (lambda: gram_check(maximal_basis(2, 2, GEN)), ("matrix", "diagonal", "ok", "violations")),
     "SpechtData": (lambda: specht_matrices(P((2, 1)), 2, 3, GEN),
                    ("shape", "basis", "gram_diagonal", "t_matrices")),
-    "YoungsRuleReport": (lambda: youngs_rule_check(P((2, 1)), 3), ("shape", "n", "lhs", "contributions", "ok")),
     "ShapeRow": (lambda: decomposition_report(2, 2, GEN).rows[0],
                  ("shape", "weyl_dim", "f", "walks", "all_maximal", "gram_diagonal")),
     "DecompositionReport": (lambda: decomposition_report(2, 2, GEN), ("n", "r", "rows", "total", "identity_ok")),

@@ -11,7 +11,6 @@ from qtensor.coeff import ScalarField, specialize
 from qtensor.combinatorics import (
     Partition,
     Walk,
-    addable_rows,
     coxeter_elements,
     d_const,
     enumerate_walks,
@@ -25,7 +24,6 @@ from qtensor.psiphi import (
     build_c_pi,
     canonical_word,
     is_maximal,
-    jimbo_pivot_agreement,
     jimbo_root_vectors,
     phi,
     psi,
@@ -184,14 +182,6 @@ def test_phi_weight_and_degree():
     assert out.r == 3 and weight_of(out) == (2, 1, 0)
     with pytest.raises(AddabilityError):
         phi(2, P((2, 2)), build_c_pi(Walk((1, 1, 2, 2)), GEN, 3).vector)
-
-
-def test_phi_validate_flag():
-    b = TensorVector.basis(GEN, 2, (1, 2))  # not a highest-weight vector
-    with pytest.raises(ValueError):
-        phi(1, (1, 1), b, validate=True)
-    good = build_c_pi(Walk((1, 2)), GEN, 2)
-    assert phi(1, good.weight, good.vector, validate=True).r == 3
 
 
 def _phi_oracle(m, weight, b, shift=0):
@@ -364,11 +354,11 @@ def test_youngs_rule_vector_counts():
         for walk in enumerate_walks(n, r):
             rec = build_c_pi(walk, GEN, n)
             produced = {}
-            for j in addable_rows(rec.weight, n):
+            for j in rec.weight.addable_rows(n):
                 out = phi(j, rec.weight, rec.vector)
                 produced[weight_of(out)] = out
                 assert is_maximal(out)
-            assert len(produced) == len(addable_rows(rec.weight, n))
+            assert len(produced) == len(rec.weight.addable_rows(n))
 
 
 def test_jimbo_base_cases_and_unrolling():
@@ -382,19 +372,40 @@ def test_jimbo_base_cases_and_unrolling():
     assert len(e_hat) == 6 and len(f_hat) == 6
 
 
+def _pivot_agreement(n, field):
+    """True when every admissible pivot of the root-vector recursion, at
+    every level, gives the same element: the exhaustive comparison."""
+    q, qinv = field.q_power(1), field.q_power(-1)
+
+    def variants(lo, hi, raising):
+        if hi - lo == 1:
+            return [NegElement.generator(field, lo)]
+        return list({left * right - (right * left).scale(q if raising else qinv)
+                     for k in range(lo + 1, hi)
+                     for left in variants(lo, k, raising) for right in variants(k, hi, raising)})
+
+    for span in range(2, n):
+        for lo in range(1, n - span + 1):
+            for raising in (True, False):
+                vals = variants(lo, lo + span, raising)
+                if any(v != vals[0] for v in vals[1:]):
+                    return False
+    return True
+
+
 def test_jimbo_pivot_agreement():
     # exhaustive pivot comparison; the recursion is pivot-independent here
     for n in (3, 4, 5):
-        assert jimbo_pivot_agreement(n, GEN)
+        assert _pivot_agreement(n, GEN)
 
 
 def test_jimbo_pivot_agreement_sees_past_hash_collisions(monkeypatch):
     # without canonical words the pivots give different elements; equal
     # hashes must not merge them into one
     monkeypatch.setattr(psiphi, "canonical_word", tuple)
-    assert not jimbo_pivot_agreement(4, GEN)
+    assert not _pivot_agreement(4, GEN)
     monkeypatch.setattr(NegElement, "__hash__", lambda self: 0)
-    assert not jimbo_pivot_agreement(4, GEN)
+    assert not _pivot_agreement(4, GEN)
 
 
 def test_neg_element_algebra():
