@@ -30,7 +30,7 @@ from . import dualcheck, psiphi, tensorspace
 from .coeff import ScalarField
 from .combinatorics import Partition, enumerate_walks, partitions_in
 
-__all__ = ["run_cli", "export_json", "main"]
+__all__ = ["run_cli", "main"]
 
 COMMANDS = ("walks", "vectors", "psi", "verify", "norms", "specht", "decompose", "invariants")
 SHAPE_OF_DEGREE_R = ("walks", "vectors", "norms", "specht")
@@ -101,37 +101,23 @@ def _parse_config(argv: list[str]) -> argparse.Namespace:
     return cfg
 
 
-def _write(text: str, path: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise RuntimeError(f"cannot write {path}: {exc}") from exc
-
-
-def export_json(payload, path: str | None) -> str:
-    """Serialize deterministically; write to the path when given.  The byte
-    stream is identical across runs for identical inputs."""
-    text = json.dumps(payload, separators=(",", ":")) + "\n"
-    if path is not None:
-        _write(text, path)
-    return text
-
-
 def _emit(cfg: argparse.Namespace, text_lines, json_payload) -> None:
-    """Write the rendering asked for: ``text_lines`` and ``json_payload``
-    are functions that make the text lines and the JSON payload, and only
-    the one asked for is called."""
+    """Write the rendering asked for, to ``--out`` or to stdout:
+    ``text_lines`` and ``json_payload`` are functions that make the text
+    lines and the JSON payload, and only the one asked for is called.  The
+    JSON bytes are identical across runs for identical inputs."""
     if cfg.output == "json":
-        out = export_json(json_payload(), cfg.out_path)
-        if cfg.out_path is None:
-            sys.stdout.write(out)
+        body = json.dumps(json_payload(), separators=(",", ":")) + "\n"
     else:
         body = "\n".join(text_lines()) + "\n"
-        if cfg.out_path is not None:
-            _write(body, cfg.out_path)
-        else:
-            sys.stdout.write(body)
+    if cfg.out_path is None:
+        sys.stdout.write(body)
+        return
+    try:
+        with open(cfg.out_path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(body)
+    except OSError as exc:
+        raise RuntimeError(f"cannot write {cfg.out_path}: {exc}") from exc
 
 
 def _cmd_walks(cfg: argparse.Namespace) -> int:

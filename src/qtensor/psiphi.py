@@ -195,13 +195,6 @@ def _psi_cached(j: int, shift: int, window: tuple[int, ...], field: ScalarField)
     return (gen * inner).scale(field.qint(c) / dd) - (inner * gen).scale(field.qint(c - 1) / dd)
 
 
-@lru_cache(maxsize=None)
-def _psi_cleared(j: int, shift: int, window: tuple[int, ...], field: ScalarField) -> tuple:
-    """``_psi_cached``'s element, cleared once for ``phi`` by the numerator
-    ring's ``clear`` (which takes no exponent bound, so any will do)."""
-    return field.numerator_ring(0)[0](_psi_cached(j, shift, window, field).terms)
-
-
 def apply_neg(e: NegElement, v: TensorVector) -> TensorVector:
     """Realize an element as an operator: each word acts letter by letter,
     rightmost letter first, and words that share a suffix share its image."""
@@ -216,43 +209,38 @@ def apply_neg(e: NegElement, v: TensorVector) -> TensorVector:
 # -- box-adding operators --------------------------------------------------------
 
 
-def phi(m: int, weight, b: TensorVector, shift: int = 0) -> TensorVector:
+def phi(m: int, weight, b: TensorVector) -> TensorVector:
     """Add a box in row m: maps a highest-weight vector of the given weight to
     one of that weight plus a unit in row m, in one more tensor factor (new
-    factor on the left).
-
-    ``shift`` gives the shifted variant used by the recursion consistency
-    checks.
+    factor on the left).  The image of b is m (x) b plus, for each (j, xi_j)
+    of ``xi_map``, (-q^-1)^(m-j) j (x) xi_j(b); letters in the order m .. 1.
     """
     if m < 1:
         raise ValueError("need m >= 1")
     field = b.field
-    if m >= 2 and a_const(weight, m - 1 + shift) == 0:
-        raise AddabilityError(f"row {m + shift} is not addable at weight {tuple(weight)}")
-    if m + shift > b.n:
-        raise ValueError(f"letter {m + shift} out of range 1..{b.n}")
-    # Cleared once: every word below acts on integer numerators at q0, a
-    # word's image is shared by all words ending in it, and the terms for
-    # different j start with different letters, so each output coefficient
-    # is one division.
+    if m >= 2 and a_const(weight, m - 1) == 0:
+        raise AddabilityError(f"row {m} is not addable at weight {tuple(weight)}")
+    if m > b.n:
+        raise ValueError(f"letter {m} out of range 1..{b.n}")
+    # b is cleared once and each xi_j on use (the identity on the generic
+    # field): every word below acts on integer numerators at q0, a word's
+    # image is shared by all words ending in it, and the terms for different
+    # j start with different letters, so each output coefficient is one
+    # division.
     clear, power, den, over = field.numerator_ring(max(b.r, m) - 1)
     one = field.one()
     D, nums = clear(b.coeffs)
     image = _word_images(nums, lambda i, coeffs: _lower(i, coeffs, power, one))
-    out = {}
-    for j in range(m):
-        inner = m - j - 1 + shift
-        dj, cw = _psi_cleared(j, inner, _weight_window(weight, j, inner), field)
-        acc = _act(cw, image, one)
-        d = D * dj * den**j
-        if j:
-            # the factor (-q^-1)^j = (-1)^j power(-j) / den
-            s = power(-j) if j % 2 == 0 else -power(-j)
-            acc = {k: x * s for k, x in acc.items()}
-            d *= den
-        letter = (m - j + shift,)
-        for k, x in acc.items():
-            out[letter + k] = over(x, d)
+    out = {(m,) + k: over(x, D) for k, x in nums.items()}
+    for j, xi in reversed(xi_map(m, weight, field) if m >= 2 else []):
+        dj, cw = clear(xi.terms)
+        # the factor (-q^-1)^e = (-1)^e power(-e) / den, and one more den
+        # for each of the e letters in every word of xi_j
+        e = m - j
+        s = power(-e) if e % 2 == 0 else -power(-e)
+        d = D * dj * den ** (e + 1)
+        for k, x in _act(cw, image, one).items():
+            out[(j,) + k] = over(x * s, d)
     return TensorVector.zero(field, b.n, b.r + 1)._fresh(out)
 
 
@@ -290,8 +278,9 @@ def is_maximal(v: TensorVector) -> bool:
 
 
 def xi_map(m: int, weight, field: ScalarField) -> list[tuple[int, NegElement]]:
-    """For each basis index j = 1..m-1, the lowering element that the
-    row-m box-adding operator tensors against the j-th basis letter.
+    """For each letter j = 1..m-1, the lowering element xi_j (psi_{m-j}
+    shifted j-1 times) that ``phi`` for row m applies to b beside the new
+    left factor j.
 
     Entry j has weight minus the root-sum over rows j..m-1; the entries are
     nonzero with pairwise distinct weights.

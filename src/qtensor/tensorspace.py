@@ -277,11 +277,10 @@ def apply_K(j: int, v: TensorVector, inverse: bool = False) -> TensorVector:
     return _grouplike(v, lambda idx: sign * idx.count(j))
 
 
-def apply_tK(i: int, v: TensorVector, inverse: bool = False) -> TensorVector:
+def apply_tK(i: int, v: TensorVector) -> TensorVector:
     """Diagonal coroot grouplike: q to the content difference at i, i+1."""
     _check_ef_index(i, v.n)
-    sign = -1 if inverse else 1
-    return _grouplike(v, lambda idx: sign * (idx.count(i) - idx.count(i + 1)))
+    return _grouplike(v, lambda idx: idx.count(i) - idx.count(i + 1))
 
 
 def weight_of(v: TensorVector) -> tuple[int, ...]:
