@@ -121,25 +121,25 @@ def d_const(w: Partition | Weight, j: int, shift: int = 0) -> int:
 
 
 class Walk(_Value):
-    """Path in the growth diagram, recorded as the row added at each step."""
+    """Path in the growth diagram: the row added at each step, and in
+    ``shapes`` the partitions λ^0 = ∅ ... λ^r it passes through."""
 
-    __slots__ = _fields = ("rows",)
+    __slots__ = ("rows", "shapes")
+    _fields = ("rows",)
 
     def __init__(self, rows: tuple[int, ...]):
         rows = tuple(int(k) for k in rows)
-        lam = Partition()
+        shapes = [Partition()]
         for k in rows:
-            lam = lam.add_box(k)  # raises if some step is not addable
+            shapes.append(shapes[-1].add_box(k))  # raises if some step is not addable
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "shapes", tuple(shapes))
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def terminal(self) -> Partition:
-        lam = Partition()
-        for k in self.rows:
-            lam = lam.add_box(k)
-        return lam
+        return self.shapes[-1]
 
     def __str__(self) -> str:
         return "[" + ",".join(str(k) for k in self.rows) + "]"

@@ -7,10 +7,11 @@ construction, equal when their fields are), so the command line and the
 tests share one code path; every check is exact (a nonzero residual anywhere
 is a failure, never a tolerance question).
 
-Pairings.  The Gram check and the Specht projections clear each vector once
-to one common denominator (``ScalarField.clear``) and pair the numerators in
-the ring (``ScalarField.pair``), so each entry is normalized once and a
-vanishing entry not at all.
+Pairings.  The Gram check and the Specht Gram diagonals clear each vector
+once to one common denominator (``ScalarField.clear``) and pair the numerators
+in the ring (``ScalarField.pair``), so each entry is normalized once and a
+vanishing entry not at all.  The Specht matrices need no pairing: their rows
+are read off the walks (``specht_matrices``).
 
 Relation suites.  All three check each generator's local form on all n^r
 index vectors, by table lookup, and then decide their relations on V, V⊗V
@@ -63,6 +64,7 @@ through ``tensorspace.lincomb``.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 
@@ -86,6 +88,7 @@ from .tensorspace import (
     apply_K,
     apply_T,
     apply_tK,
+    bilinear,
     lincomb,
 )
 
@@ -153,21 +156,19 @@ def gram_check(records: list[MaximalVectorRecord]) -> GramReport:
 def norm_predict(pi: Walk, field: ScalarField):
     """Closed-form self-pairing of the walk vector: the product over the
     steps of the one-step norm factor at the intermediate weight."""
-    lam = Partition()
     acc = field.one()
-    for m in pi.rows:
+    for m, lam in zip(pi.rows, pi.shapes):
         if m >= 2:
             rho = field.q_power(1 - m)
             for t in range(1, m):
                 d = d_const(lam, t, m - 1 - t)
                 rho = rho * field.qint(d + 1) / field.qint(d)
             acc = acc * rho
-        lam = lam.add_box(m)
     return acc
 
 
 class SpechtConsistencyError(RuntimeError):
-    """A transposition image failed to lie in the span of the walk basis."""
+    """A transposition image differs from its row of Young's seminormal form."""
 
 
 class SpechtData(_Value):
@@ -176,36 +177,45 @@ class SpechtData(_Value):
 
 def specht_matrices(lam: Partition, n: int, r: int, field: ScalarField) -> SpechtData:
     """Matrices of the transposition generators on the span of the walk
-    vectors ending at the given shape.
+    vectors ending at the given shape (row π of T_i holds T_i v_π), read off
+    the walks in Young's seminormal form (Hoefsmit 1974; Wenzl 1988).
 
-    Coordinates come from orthogonal projection (pairing divided by the
-    diagonal norm); the residual after projection is asserted to vanish.
-    Each walk vector and each image is cleared once for its pairings.
+    ``phi`` puts each new factor on the left, so slot i holds the box added at
+    step r-i+1 and slot i+1 the box of step r-i.  With d the first box's
+    content (column minus row) minus the second's, and σ the walk π with the
+    two steps swapped, the row has q^d/[d] on π; if |d| > 1 it also has 1 on
+    σ if d > 0, [d-1][d+1]/[d]^2 if d < 0.  Each row is checked exactly: T_i
+    v_π minus those terms must vanish.
     """
     records = maximal_basis(n, r, field, lam)
     if not records:
         raise ValueError(f"{lam} is not a shape of degree {r} with at most {n} rows")
-    cleared = [field.clear(rec.vector.coeffs) for rec in records]
-    norms = [field.pair(c, c) for c in cleared]
-    one = field.one()
+    position = {rec.walk.rows: p for p, rec in enumerate(records)}
+    zero, one, qint = field.zero(), field.one(), field.qint
+    entries = functools.cache(lambda d: (  # on π, and on σ (None if |d| = 1)
+        field.q_power(d) / qint(d),
+        None if abs(d) == 1 else one if d > 0 else qint(d - 1) * qint(d + 1) / qint(d) ** 2))
+    contents = [[shape.row(m) - m for m, shape in zip(rec.walk.rows, rec.walk.shapes[1:])] for rec in records]
     t_matrices = []
     for i in range(1, r):
         rows = []
-        for rec in records:
-            image = apply_T(i, rec.vector)
-            cimage = field.clear(image.coeffs)
-            coords = []
-            for other, norm in zip(cleared, norms):
-                c = field.pair(cimage, other)
-                coords.append(c / norm if c else c)
-            residual = lincomb([(one, image.coeffs)]
-                               + [(-c, other.vector.coeffs) for c, other in zip(coords, records)], one)
-            if residual:
+        for p, (rec, c) in enumerate(zip(records, contents)):
+            a, b = entries(c[r - i] - c[r - i - 1])
+            row = [zero] * len(records)
+            row[p] = a
+            terms = [(one, apply_T(i, rec.vector).coeffs), (-a, rec.vector.coeffs)]
+            if b is not None:
+                w = rec.walk.rows
+                s = position[w[:r - i - 1] + (w[r - i], w[r - i - 1]) + w[r - i + 1:]]
+                row[s] = b
+                terms.append((-b, records[s].vector.coeffs))
+            if lincomb(terms, one):
                 raise SpechtConsistencyError(
-                    f"T_{i} image of walk {rec.walk} leaves the span at shape {lam}")
-            rows.append(coords)
+                    f"T_{i} image of walk {rec.walk} does not match the seminormal form at shape {lam}")
+            rows.append(row)
         t_matrices.append(rows)
-    return SpechtData(shape=lam, basis=records, gram_diagonal=norms, t_matrices=t_matrices)
+    return SpechtData(shape=lam, basis=records, t_matrices=t_matrices,
+                      gram_diagonal=[bilinear(rec.vector, rec.vector) for rec in records])
 
 
 def invariants_basis(n: int, r: int, field: ScalarField) -> list[MaximalVectorRecord]:
@@ -378,15 +388,15 @@ class _Words:
     A generator is a pair (action, i) such as (apply_E, 2).  Its table holds
     its images of all n^r basis vectors, computed whole by the action itself
     when the generator is first asked for (every premise check reads every
-    entry).  Equal table coefficients share one object (there are few
-    distinct ones, mostly powers of q), and so do equal index tuples, which
-    keeps the tables of a whole battery small; a coefficient equal to one is
-    ``self.one``, so composing skips those products.  ``words(g1, ..., gk)``
-    is g1(...gk(v)) for the current basis vector v, memoised by suffix until
-    ``start`` moves on to the next basis vector.  A generator may also be any
-    key whose table is put in ``tables`` whole, such as a local form on V⊗V;
-    ``forms`` keeps each generator's local form (``_cached``) for every suite
-    that uses it.
+    entry).  Equal index tuples share one object, which keeps the tables of a
+    whole battery small.  The coefficients are the field's memoised ones
+    (one, q, q - q^-1, q^e), so a coefficient equal to one is ``self.one`` and
+    composing skips those products; ``share`` gives computed values the same
+    property.  ``words(g1, ..., gk)`` is g1(...gk(v)) for the current basis
+    vector v, memoised by suffix until ``start`` moves on to the next basis
+    vector.  A generator may also be any key whose table is put in ``tables``
+    whole, such as a local form on V⊗V; ``forms`` keeps each generator's local
+    form (``_cached``) for every suite that uses it.
     """
 
     def __init__(self, field: ScalarField, n: int, r: int):
@@ -395,7 +405,6 @@ class _Words:
         self.r = r
         self.one = field.one()
         self.shared = {self.one: self.one}
-        self.by_id: dict = {}
         self.tables: dict = {}
         self.forms: dict = {}
         self.zero = TensorVector.zero(field, n, r)
@@ -403,22 +412,13 @@ class _Words:
     def share(self, x):
         return self.shared.setdefault(x, x)
 
-    def share_new(self, c) -> tuple:
-        """(c, c's shared equal), kept in ``by_id`` under id(c): the actions
-        return the same few coefficient objects (cached powers of q) again
-        and again, and looking one up by identity costs far less than
-        hashing it.  Holding c keeps its id from being reused."""
-        pair = self.by_id[id(c)] = c, self.share(c)
-        return pair
-
     def table(self, gen) -> dict:
         table = self.tables.get(gen)
         if table is None:
-            (action, i), shared, by_id = gen, self.shared, self.by_id
+            (action, i), shared = gen, self.shared
             table = self.tables[gen] = {
-                shared.setdefault(idx, idx): {
-                    shared.setdefault(k, k): (by_id.get(id(c)) or self.share_new(c))[1]
-                    for k, c in action(i, self.zero._fresh({idx: self.one})).coeffs.items()}
+                shared.setdefault(idx, idx): {shared.setdefault(k, k): c for k, c in action(
+                    i, self.zero._fresh({idx: self.one})).coeffs.items()}
                 for idx in _all_indices(self.n, self.r)}
         return table
 
@@ -463,7 +463,8 @@ def check_quantum_relations(n: int, r: int, field: ScalarField, *,
     """
     if words is None:
         words = _Words(field, n, r)
-    local = _one_site(words) if r > 1 else _Words(field, n, r)
+    # at r <= 1, a shallow copy reads the very tables of ``words``
+    local = _one_site(words) if r > 1 else copy.copy(words)
     proved = local is not None and all(
         _scan(local, _all_indices(n, local.r), fails) is None
         for _, pairs in _quantum_rows(local) for _, fails in pairs)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .coeff import ScalarField, _Value
-from .combinatorics import Partition, Walk, _entry, a_const, c_const, d_const
+from .combinatorics import Walk, _entry, a_const, c_const, d_const
 from .tensorspace import TensorVector, _act, _lower, _word_images, apply_E, lincomb, weight_of
 
 __all__ = [
@@ -256,11 +256,9 @@ def build_c_pi(pi: Walk, field: ScalarField, n: int | None = None) -> MaximalVec
     if n is None:
         n = max(pi.rows, default=1)
     vec = TensorVector.unit(field, n)
-    lam = Partition()
-    for k in pi.rows:
+    for k, lam in zip(pi.rows, pi.shapes):
         vec = phi(k, lam, vec)
-        lam = lam.add_box(k)
-    return MaximalVectorRecord(walk=pi, vector=vec, weight=lam)
+    return MaximalVectorRecord(walk=pi, vector=vec, weight=pi.terminal())
 
 
 def is_maximal(v: TensorVector) -> bool:

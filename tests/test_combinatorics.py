@@ -22,7 +22,9 @@ from qtensor.combinatorics import (
     weyl_dim,
 )
 from qtensor.coeff import ScalarField
+from qtensor.dualcheck import norm_predict
 from qtensor.psiphi import build_c_pi, canonical_word
+from qtensor.tensorspace import bilinear
 
 
 @st.composite
@@ -135,6 +137,20 @@ def test_walk_validation():
         Walk((2,))  # first box must go in row 1
     with pytest.raises(ValueError):
         Walk((1, 3))
+
+
+def test_walk_shapes_are_read_not_replayed(monkeypatch):
+    walk = Walk((1, 2, 1))
+    assert walk.shapes == (Partition(), Partition((1,)), Partition((1, 1)), Partition((2, 1)))
+    with pytest.raises(AttributeError):
+        walk.shapes = ()
+    # once the walk exists, its terminal shape, its vector and its norm
+    # formula read the shapes it holds
+    monkeypatch.setattr(Partition, "add_box", None)
+    field = ScalarField.generic()
+    record = build_c_pi(walk, field, 3)
+    assert walk.terminal() == record.weight == Partition((2, 1))
+    assert norm_predict(walk, field) == bilinear(record.vector, record.vector)
 
 
 def test_walk_tableau_examples():

@@ -154,6 +154,49 @@ def test_specht_invalid_shape():
         specht_matrices(P((3, 1)), 3, 3, GEN)
 
 
+def _specht_by_projection(lam, n, r, field):
+    """The oracle for `specht_matrices`: coordinates by orthogonal projection
+    (each image paired against every walk vector of the shape and divided by
+    that vector's norm), with the residual after projection asserted to
+    vanish.  Each walk vector and each image is cleared once for its
+    pairings; the transposition is looked up in `dualcheck`, so a replaced
+    action is the one projected."""
+    records = maximal_basis(n, r, field, lam)
+    if not records:
+        raise ValueError(f"{lam} is not a shape of degree {r} with at most {n} rows")
+    cleared = [field.clear(rec.vector.coeffs) for rec in records]
+    norms = [field.pair(c, c) for c in cleared]
+    one = field.one()
+    t_matrices = []
+    for i in range(1, r):
+        rows = []
+        for rec in records:
+            image = dualcheck.apply_T(i, rec.vector)
+            cimage = field.clear(image.coeffs)
+            coords = []
+            for other, norm in zip(cleared, norms):
+                c = field.pair(cimage, other)
+                coords.append(c / norm if c else c)
+            residual = lincomb([(one, image.coeffs)]
+                               + [(-c, other.vector.coeffs) for c, other in zip(coords, records)], one)
+            if residual:
+                raise SpechtConsistencyError(
+                    f"T_{i} image of walk {rec.walk} leaves the span at shape {lam}")
+            rows.append(coords)
+        t_matrices.append(rows)
+    return dualcheck.SpechtData(shape=lam, basis=records, gram_diagonal=norms, t_matrices=t_matrices)
+
+
+@pytest.mark.parametrize("n, r, q0", [(3, 4, None), (3, 4, "3/2"), (3, 4, "2"), (3, 4, "-2/5"),
+                                      (4, 5, None), (4, 5, "3/2"), (3, 6, None), (3, 6, "3/2")])
+def test_seminormal_rows_equal_the_projection(n, r, q0):
+    field = ScalarField(q0 and Fraction(q0))
+    for lam in partitions_in(n, r):
+        data, oracle = specht_matrices(lam, n, r, field), _specht_by_projection(lam, n, r, field)
+        assert data.t_matrices == oracle.t_matrices
+        assert data.gram_diagonal == oracle.gram_diagonal
+
+
 def _grown_dims(lam, n):
     """Dimensions of the shapes one box larger than lam, by added row."""
     return [weyl_dim(lam.add_box(j), n) for j in lam.addable_rows(n)]
@@ -795,7 +838,8 @@ def test_hecke_and_commuting_detect_skewed_transposition(field, monkeypatch):
 @pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
 def test_specht_matrices_detect_skewed_transposition(field, monkeypatch):
     monkeypatch.setattr(dualcheck, "apply_T", _skewed(dualcheck.apply_T))
-    with pytest.raises(SpechtConsistencyError, match=r"T_1 image of walk \[1,1,2\] leaves the span at shape 2,1"):
+    with pytest.raises(SpechtConsistencyError,
+                       match=r"T_1 image of walk \[1,1,2\] does not match the seminormal form at shape 2,1"):
         specht_matrices(P((2, 1)), 3, 3, field)
 
 
@@ -803,7 +847,22 @@ def test_specht_command_reports_the_failing_shape(monkeypatch, capsys):
     monkeypatch.setattr(dualcheck, "apply_T", _skewed(dualcheck.apply_T))
     assert cli.run_cli(["specht", "--n", "3", "--r", "3"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert "shape 2,1: FAIL (T_1 image of walk [1,1,2] leaves the span at shape 2,1)" in lines
+    assert "shape 2,1: FAIL (T_1 image of walk [1,1,2] does not match the seminormal form at shape 2,1)" in lines
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
+def test_specht_matrices_detect_inverse_transposition(field, monkeypatch):
+    # T_i^-1 = T_i - (q - q^-1) keeps every walk block in its span, so the
+    # projection accepts it with wrong matrices; its rows are not seminormal
+    shapes = [(P((2, 1)), 3, "[1,1,2]"), (P((2, 2)), 4, "[1,1,2,2]")]
+    true = [specht_matrices(lam, 3, r, field).t_matrices for lam, r, _ in shapes]
+    real = dualcheck.apply_T
+    monkeypatch.setattr(dualcheck, "apply_T", lambda i, v: real(i, v) - v.scale(field.q_diff()))
+    for (lam, r, walk), t_matrices in zip(shapes, true):
+        assert _specht_by_projection(lam, 3, r, field).t_matrices != t_matrices
+        with pytest.raises(SpechtConsistencyError) as failure:
+            specht_matrices(lam, 3, r, field)
+        assert str(failure.value) == f"T_1 image of walk {walk} does not match the seminormal form at shape {lam}"
 
 
 @st.composite

@@ -5,7 +5,9 @@ captured before the integer-only rewrite of the coefficient layer (the
 `walks` files: before `Walk` and `enumerate_walks` were rewritten without
 dataclasses and recursion; the `verify` files: before the battery was split
 into `dualcheck.verify_stages`; the `vectors` and `specht` files at q0 = 2
-and q0 = -2/5: before `phi` moved onto cleared integer numerators).  Any
+and q0 = -2/5: before `phi` moved onto cleared integer numerators; all
+`specht` files: before `specht_matrices` read its rows off the walks in
+Young's seminormal form instead of projecting each image).  Any
 change to a coefficient's canonical form, to the walk order or to the
 rendering shows up here as a byte difference.  The extra points exercise
 the integer q-power multipliers where 3/2 does not: q0 = 2 has denominator
