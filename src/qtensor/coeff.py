@@ -697,7 +697,9 @@ class ScalarField(_Value):
       Q(q) a `LaurentPoly` of lowest exponent 0, positive leading coefficient;
     - ``numerator_ring(r)`` gives (clear, power, den, over) for vectors with
       q-exponents in [-r, r]: q^e = power(e) / den, and over(x, d) is the field
-      element x / d for a ring element x and a product d of such denominators.
+      element x / d for a ring element x and a product d of such denominators;
+      ``_ring_memo(r)`` keeps its F_i rules (``tensorspace._lower``) beside the
+      powers of q, ``_join`` sums cleared parts and ``_text(x, D)`` renders x / D.
 
     The one, the zero and q - q^-1 are built once, so ``c is field.one()``
     spots the one, and powers of q live in one memo per field.  None is a
@@ -744,6 +746,9 @@ class ScalarField(_Value):
         memo = self._memo
         return memo[e] if e in memo else memo.setdefault(e, self._power(e))
 
+    def _ring_memo(self, r: int) -> dict:
+        return self._memo.setdefault(("ring memo", r), {})
+
     def pair(self, u: tuple, v: tuple):
         """Sum over shared keys of the products of two cleared dicts (from
         ``clear``): the numerator products are summed in the ring, then
@@ -786,6 +791,9 @@ class _GenericField(ScalarField):
         """The field itself, over D = den = 1: a `LaurentPoly` numerator would
         pay a gcd per term it reaches; a field element times q^e pays none."""
         return (lambda coeffs: (1, coeffs)), self.q_power, 1, (lambda x, d: x)
+
+    _join = staticmethod(lambda parts: (1, {k: x for _, nums in parts for k, x in nums.items()}))
+    _text = staticmethod(lambda x, D: str(x))
 
     @staticmethod
     def _ring_sum(nu: dict, nv: dict) -> LaurentPoly:
@@ -830,6 +838,21 @@ class _RationalField(ScalarField):
             table = {e: a ** (r + e) * b ** (r - e) for e in range(-r, r + 1)}
             memo.setdefault(key, (table.__getitem__, (a * b) ** r))
         return self.clear, *memo[key], Fraction
+
+    @staticmethod
+    def _join(parts) -> tuple:
+        """The sum of (d, numerators) parts with disjoint keys over D > 0, the lcm
+        of the d (den < 0 at odd r, q0 < 0), with the common content divided out."""
+        D = lcm(*[d for d, _ in parts])
+        out = {k: x * s for d, nums in parts for s in [D // d] for k, x in nums.items()}
+        g = gcd(D, *out.values())
+        return (D, out) if g == 1 else (D // g, {k: x // g for k, x in out.items()})
+
+    @staticmethod
+    def _text(x: int, D: int) -> str:
+        """str(Fraction(x, D)) for D > 0, with one gcd and no Fraction."""
+        g = gcd(x, D)
+        return str(x // g) if g == D else f"{x // g}/{D // g}"
 
     @staticmethod
     def _ring_sum(nu: dict, nv: dict) -> int:

@@ -135,6 +135,14 @@ class Walk(_Value):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "shapes", tuple(shapes))
 
+    @classmethod
+    def _along(cls, rows: tuple[int, ...], shapes: tuple[Partition, ...]) -> Walk:
+        """The walk of ``rows`` whose ``shapes`` are already known to be its path."""
+        walk = object.__new__(cls)
+        object.__setattr__(walk, "rows", rows)
+        object.__setattr__(walk, "shapes", shapes)
+        return walk
+
     def __len__(self) -> int:
         return len(self.rows)
 
@@ -158,17 +166,18 @@ def enumerate_walks(n: int, r: int, target: Partition | None = None) -> list[Wal
     out: list[Walk] = []
     # Depth-first with an explicit stack, since r may exceed the recursion
     # limit; children are pushed largest row first, so walks come out in
-    # lexicographic order.
-    stack: list[tuple[tuple[int, ...], Partition]] = [((), Partition())]
+    # lexicographic order.  A prefix's shapes become its walks' shapes.
+    stack: list[tuple[tuple[int, ...], tuple[Partition, ...]]] = [((), (Partition(),))]
     while stack:
-        prefix, lam = stack.pop()
+        prefix, shapes = stack.pop()
         if len(prefix) == r:
-            out.append(Walk(prefix))
+            out.append(Walk._along(prefix, shapes))
             continue
+        lam = shapes[-1]
         for j in reversed(lam.addable_rows(n)):
             # containment prune: stay inside the target shape
             if target is None or lam.row(j) < target.row(j):
-                stack.append((prefix + (j,), lam.add_box(j)))
+                stack.append((prefix + (j,), shapes + (lam.add_box(j),)))
     return out
 
 

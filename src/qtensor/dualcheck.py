@@ -64,7 +64,6 @@ through ``tensorspace.lincomb``.
 
 from __future__ import annotations
 
-import copy
 import functools
 import itertools
 
@@ -185,7 +184,8 @@ def specht_matrices(lam: Partition, n: int, r: int, field: ScalarField) -> Spech
     content (column minus row) minus the second's, and σ the walk π with the
     two steps swapped, the row has q^d/[d] on π; if |d| > 1 it also has 1 on
     σ if d > 0, [d-1][d+1]/[d]^2 if d < 0.  Each row is checked exactly: T_i
-    v_π minus those terms must vanish.
+    v_π minus those terms must vanish.  It is multiplied through by every
+    denominator and summed on numerators (``ScalarField.numerator_ring``).
     """
     records = maximal_basis(n, r, field, lam)
     if not records:
@@ -195,21 +195,27 @@ def specht_matrices(lam: Partition, n: int, r: int, field: ScalarField) -> Spech
     entries = functools.cache(lambda d: (  # on π, and on σ (None if |d| = 1)
         field.q_power(d) / qint(d),
         None if abs(d) == 1 else one if d > 0 else qint(d - 1) * qint(d + 1) / qint(d) ** 2))
+    clear = field.numerator_ring(0)[0]
+    ring_entries = functools.cache(lambda d: clear({k: x for k, x in enumerate(entries(d)) if x is not None}))
+    cleared = [rec.vector._numerators(clear) for rec in records]
     contents = [[shape.row(m) - m for m, shape in zip(rec.walk.rows, rec.walk.shapes[1:])] for rec in records]
     t_matrices = []
     for i in range(1, r):
         rows = []
         for p, (rec, c) in enumerate(zip(records, contents)):
-            a, b = entries(c[r - i] - c[r - i - 1])
+            d = c[r - i] - c[r - i - 1]
+            (a, b), (d_ab, ab) = entries(d), ring_entries(d)
+            (d_p, n_p), (d_s, n_s) = cleared[p], (1, {})
             row = [zero] * len(records)
             row[p] = a
-            terms = [(one, apply_T(i, rec.vector).coeffs), (-a, rec.vector.coeffs)]
             if b is not None:
                 w = rec.walk.rows
                 s = position[w[:r - i - 1] + (w[r - i], w[r - i - 1]) + w[r - i + 1:]]
                 row[s] = b
-                terms.append((-b, records[s].vector.coeffs))
-            if lincomb(terms, one):
+                d_s, n_s = cleared[s]
+            d_t, image = clear(apply_T(i, rec.vector._fresh(n_p)).coeffs)
+            terms = [(d_ab * d_s, image), (-d_t * d_s * ab[0], n_p), (-d_t * d_p * ab.get(1, 0), n_s)]
+            if lincomb(terms, 1):  # 1 is the ring's one at q0, and a unit on Q(q) too
                 raise SpechtConsistencyError(
                     f"T_{i} image of walk {rec.walk} does not match the seminormal form at shape {lam}")
             rows.append(row)
@@ -463,8 +469,7 @@ def check_quantum_relations(n: int, r: int, field: ScalarField, *,
     """
     if words is None:
         words = _Words(field, n, r)
-    # at r <= 1, a shallow copy reads the very tables of ``words``
-    local = _one_site(words) if r > 1 else copy.copy(words)
+    local = _one_site(words) if r > 1 else words
     proved = local is not None and all(
         _scan(local, _all_indices(n, local.r), fails) is None
         for _, pairs in _quantum_rows(local) for _, fails in pairs)

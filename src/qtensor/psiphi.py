@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .coeff import ScalarField, _Value
 from .combinatorics import Walk, _entry, a_const, c_const, d_const
-from .tensorspace import TensorVector, _act, _lower, _word_images, apply_E, lincomb, weight_of
+from .tensorspace import TensorVector, _act, _Cleared, _lower, _word_images, apply_E, lincomb, weight_of
 
 __all__ = [
     "NegElement",
@@ -201,8 +201,8 @@ def apply_neg(e: NegElement, v: TensorVector) -> TensorVector:
     if e.max_letter() > v.n - 1:
         raise ValueError(f"element uses generator {e.max_letter()}, ambient has {v.n - 1}")
     field = v.field
-    one = field.one()
-    image = _word_images(v.coeffs, lambda i, coeffs: _lower(i, coeffs, field.q_power, one))
+    one, rules = field.one(), {}
+    image = _word_images(v.coeffs, lambda i, coeffs: _lower(i, coeffs, field.q_power, one, rules))
     return v._fresh(_act(e.terms, image, one))
 
 
@@ -214,6 +214,9 @@ def phi(m: int, weight, b: TensorVector) -> TensorVector:
     one of that weight plus a unit in row m, in one more tensor factor (new
     factor on the left).  The image of b is m (x) b plus, for each (j, xi_j)
     of ``xi_map``, (-q^-1)^(m-j) j (x) xi_j(b); letters in the order m .. 1.
+    b is read, and the image kept, as (D, numerators) in the field's numerator
+    ring (``ScalarField.numerator_ring``): at q0, integers over D > 0 with no
+    common factor; on Q(q), the coefficients over 1.
     """
     if m < 1:
         raise ValueError("need m >= 1")
@@ -222,40 +225,39 @@ def phi(m: int, weight, b: TensorVector) -> TensorVector:
         raise AddabilityError(f"row {m} is not addable at weight {tuple(weight)}")
     if m > b.n:
         raise ValueError(f"letter {m} out of range 1..{b.n}")
-    # b is cleared once and each xi_j on use (the identity on the generic
-    # field): every word below acts on integer numerators at q0, a word's
-    # image is shared by all words ending in it, and the terms for different
-    # j start with different letters, so each output coefficient is one
-    # division.
-    clear, power, den, over = field.numerator_ring(max(b.r, m) - 1)
-    one = field.one()
-    D, nums = clear(b.coeffs)
-    image = _word_images(nums, lambda i, coeffs: _lower(i, coeffs, power, one))
-    out = {(m,) + k: over(x, D) for k, x in nums.items()}
+    # Each xi_j is cleared on use; its words act on the numerators through the
+    # ring's memoised F_i rules, sharing suffix images, and the parts (one per
+    # first letter, each over its own denominator) have disjoint keys.
+    degree = max(b.r, m) - 1
+    clear, power, den, over = field.numerator_ring(degree)
+    one, rules = field.one(), field._ring_memo(degree)
+    D, nums = b._numerators(clear)
+    image = _word_images(nums, lambda i, coeffs: _lower(i, coeffs, power, one, rules))
+    parts = [(D, {(m,) + k: x for k, x in nums.items()})]
     for j, xi in reversed(xi_map(m, weight, field) if m >= 2 else []):
         dj, cw = clear(xi.terms)
         # the factor (-q^-1)^e = (-1)^e power(-e) / den, and one more den
         # for each of the e letters in every word of xi_j
         e = m - j
         s = power(-e) if e % 2 == 0 else -power(-e)
-        d = D * dj * den ** (e + 1)
-        for k, x in _act(cw, image, one).items():
-            out[(j,) + k] = over(x * s, d)
-    return TensorVector.zero(field, b.n, b.r + 1)._fresh(out)
+        parts.append((D * dj * den ** (e + 1), {(j,) + k: x * s for k, x in _act(cw, image, one).items()}))
+    return _Cleared(field, b.n, b.r + 1, field._join(parts), over)
 
 
 class MaximalVectorRecord(_Value):
-    """A walk, the highest-weight vector it produces, and its shape."""
+    """A walk, the highest-weight vector it produces (``phi``'s last image,
+    divided out when first read), and its shape."""
 
     __slots__ = _fields = ("walk", "vector", "weight")
 
 
 def build_c_pi(pi: Walk, field: ScalarField, n: int | None = None) -> MaximalVectorRecord:
     """Compose the box-adding operators along a walk, starting from the unit
-    of the zeroth tensor power."""
+    of the zeroth tensor power, cleared (q^0 over den, both 1 in degree 0)."""
     if n is None:
         n = max(pi.rows, default=1)
-    vec = TensorVector.unit(field, n)
+    _, power, den, over = field.numerator_ring(0)
+    vec = _Cleared(field, n, 0, (den, {(): power(0)}), over)
     for k, lam in zip(pi.rows, pi.shapes):
         vec = phi(k, lam, vec)
     return MaximalVectorRecord(walk=pi, vector=vec, weight=pi.terminal())

@@ -17,6 +17,7 @@ immutable; every operation returns a fresh value.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterator
 
 from .coeff import ScalarField
@@ -124,6 +125,14 @@ class TensorVector:
         for idx in sorted(self.coeffs):
             yield idx, self.coeffs[idx]
 
+    def _numerators(self, clear) -> tuple:
+        """(D, numerators) in the numerator ring whose ``clear`` is given."""
+        return clear(self.coeffs)
+
+    def _texts(self) -> list[tuple[Index, str]]:
+        """(index, coefficient text) in lexicographic index order."""
+        return [(idx, str(c)) for idx, c in self.iter_terms()]
+
     def _check_shape(self, other: TensorVector):
         if self.n != other.n or self.r != other.r:
             raise ShapeMismatchError(
@@ -168,6 +177,32 @@ class TensorVector:
 
     def __repr__(self) -> str:
         return f"TensorVector({self.n},{self.r}; {format_vector(self)})"
+
+
+class _Cleared(TensorVector):
+    """A vector held as ``cleared`` = (D, numerators) in its field's numerator
+    ring: coefficient k is over(numerators[k], D), divided out on the first
+    read of ``coeffs`` (two readers at once form equal dicts)."""
+
+    __slots__ = ("cleared", "_over", "_divided")
+
+    def __init__(self, field: ScalarField, n: int, r: int, cleared: tuple, over):
+        self.field, self.n, self.r = field, n, r
+        self.cleared, self._over, self._divided = cleared, over, None
+
+    @property
+    def coeffs(self) -> dict:
+        if self._divided is None:
+            D, nums = self.cleared
+            self._divided = {k: self._over(x, D) for k, x in nums.items()}
+        return self._divided
+
+    def _numerators(self, clear) -> tuple:
+        return self.cleared
+
+    def _texts(self) -> list[tuple[Index, str]]:
+        (D, nums), text = self.cleared, self.field._text
+        return [(idx, text(nums[idx], D)) for idx in sorted(nums)]
 
 
 # -- generator actions ---------------------------------------------------------
@@ -256,11 +291,15 @@ def apply_F(i: int, v: TensorVector) -> TensorVector:
     return _apply(v, _coproduct(i, i + 1, field.q_power, field.one(), True))
 
 
-def _lower(i: int, coeffs: dict, power, one) -> dict:
+def _lower(i: int, coeffs: dict, power, one, rules: dict) -> dict:
     """F_i on a coefficient dict, with q^e written as the multiplier
     ``power(e)``.  ``psiphi`` passes ring multipliers of cleared numerators
-    (``ScalarField.numerator_ring``).  ``one`` is as in ``lincomb``."""
-    return _act(coeffs, _coproduct(i, i + 1, power, power(0), True), one)
+    (``ScalarField.numerator_ring``), and ``rules`` keeps F_i's rule for them,
+    memoised by index, across calls.  ``one`` is as in ``lincomb``."""
+    rule = rules.get(i)
+    if rule is None:
+        rule = rules[i] = cache(_coproduct(i, i + 1, power, power(0), True))
+    return _act(coeffs, rule, one)
 
 
 def _grouplike(v: TensorVector, exponent) -> TensorVector:
@@ -341,19 +380,16 @@ def bilinear(u: TensorVector, v: TensorVector):
 
 
 def vector_to_json_dict(v: TensorVector) -> dict:
-    terms = [{"idx": list(idx), "coeff": str(c)} for idx, c in v.iter_terms()]
+    terms = [{"idx": list(idx), "coeff": text} for idx, text in v._texts()]
     return {"n": v.n, "r": v.r, "terms": terms}
 
 
 def format_vector(v: TensorVector) -> str:
     """Human-readable rendering with terms in lexicographic index order."""
-    if v.is_zero:
-        return "0"
     parts = []
-    for idx, c in v.iter_terms():
-        ctext = str(c)
+    for idx, ctext in v._texts():
         if " " in ctext and not ctext.startswith("("):
             ctext = f"({ctext})"
         body = "v[" + ",".join(map(str, idx)) + "]"
         parts.append(body if ctext == "1" else f"{ctext}*{body}")
-    return " + ".join(parts)
+    return " + ".join(parts) or "0"

@@ -153,6 +153,20 @@ def test_walk_shapes_are_read_not_replayed(monkeypatch):
     assert norm_predict(walk, field) == bilinear(record.vector, record.vector)
 
 
+def test_enumerated_walks_keep_the_shapes_of_their_prefixes(monkeypatch):
+    # one add_box per distinct nonempty prefix, and walks that share a
+    # prefix share its partitions; the shapes are those a replay gives
+    calls, real = [], Partition.add_box
+    monkeypatch.setattr(Partition, "add_box", lambda lam, j: calls.append(j) or real(lam, j))
+    walks = enumerate_walks(3, 5)
+    monkeypatch.setattr(Partition, "add_box", real)
+    assert len(calls) == len({w.rows[:k] for w in walks for k in range(1, 6)})
+    for v, w in itertools.combinations(walks, 2):
+        shared = next(k for k in range(6) if v.rows[k] != w.rows[k])
+        assert all(v.shapes[k] is w.shapes[k] for k in range(shared + 1))
+    assert [w.shapes for w in walks] == [Walk(w.rows).shapes for w in walks]
+
+
 def test_walk_tableau_examples():
     t = walk_to_tableau(Walk((1, 2)))
     assert t.rows == ((1,), (2,))

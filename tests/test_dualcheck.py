@@ -426,15 +426,17 @@ def test_true_actions_give_the_exhaustive_quantum_verdicts(field):
 @pytest.mark.parametrize("n,r", [(1, 3), (2, 2), (2, 4), (3, 3), (4, 3), (3, 1), (3, 0)])
 def test_local_suites_pass_without_a_scan(n, r, field, monkeypatch):
     # the true actions meet every premise and every local lemma, so no pair
-    # falls back to comparing words on the n^r vectors; at r <= 1 this reads
-    # K_j and K_j^-1 as tensor powers of degree 0 and 1
-    words, scan, fallbacks = dualcheck._Words(field, n, r), dualcheck._scan, []
+    # reaches _decide unproved, which would compare words on the n^r vectors;
+    # at r <= 1 this reads K_j and K_j^-1 as tensor powers of degree 0 and 1,
+    # and U1-U7 are proved on the tensor power's own tables
+    words, decide, fallbacks = dualcheck._Words(field, n, r), dualcheck._decide, []
 
-    def spy(w, indices, fails):
-        fallbacks.extend([w] if w is words else [])
-        return scan(w, indices, fails)
+    def spy(w, name, pairs):
+        pairs = list(pairs)
+        fallbacks.extend((name, label) for label, holds, _ in pairs if not holds)
+        return decide(w, name, pairs)
 
-    monkeypatch.setattr(dualcheck, "_scan", spy)
+    monkeypatch.setattr(dualcheck, "_decide", spy)
     rows = (check_quantum_relations(n, r, field, words=words) + check_hecke_relations(n, r, field, words=words)
             + [check_commuting_actions(n, r, field, words=words)])
     assert [(c.ok, c.detail) for c in rows] == [(True, "")] * 11 and fallbacks == []

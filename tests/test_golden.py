@@ -7,11 +7,14 @@ dataclasses and recursion; the `verify` files: before the battery was split
 into `dualcheck.verify_stages`; the `vectors` and `specht` files at q0 = 2
 and q0 = -2/5: before `phi` moved onto cleared integer numerators; all
 `specht` files: before `specht_matrices` read its rows off the walks in
-Young's seminormal form instead of projecting each image).  Any
+Young's seminormal form instead of projecting each image; the degree-5
+files at q0 = -2/5: before walk vectors stayed cleared from build to
+render).  Any
 change to a coefficient's canonical form, to the walk order or to the
 rendering shows up here as a byte difference.  The extra points exercise
 the integer q-power multipliers where 3/2 does not: q0 = 2 has denominator
-1, and -2/5 is negative with |q0| < 1.
+1, and -2/5 is negative with |q0| < 1; at -2/5 and odd degree the numerator
+ring's den (ab)^r is negative as well.
 """
 
 from pathlib import Path
@@ -36,6 +39,7 @@ CASES = [f"{cmd} {size}" for cmd, size in SIZES.items()] + ["invariants --n 3 --
 FIELDS = {"generic": "", "q0_3_2": " --q0 3/2"}
 EXTRA_POINTS = {"q0_2": " --q0=2", "q0_m2_5": " --q0=-2/5"}
 EXTRA_CASES = [f"{cmd} {SIZES[cmd]}" for cmd in ("vectors", "specht")]
+ODD_DEGREE_CASES = [f"{cmd} --n 3 --r 5" for cmd in ("vectors", "specht")]
 
 
 def golden_path(case: str, field: str) -> Path:
@@ -57,3 +61,10 @@ def test_cli_json_matches_golden_at_extra_points(case, field, capsys):
     argv = (case + EXTRA_POINTS[field]).split() + ["--output", "json"]
     assert cli.run_cli(argv) == 0
     assert capsys.readouterr().out == golden_path(case, field).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("case", ODD_DEGREE_CASES)
+def test_cli_json_matches_golden_at_negative_q0_and_odd_degree(case, capsys):
+    argv = (case + EXTRA_POINTS["q0_m2_5"]).split() + ["--output", "json"]
+    assert cli.run_cli(argv) == 0
+    assert capsys.readouterr().out == golden_path(case, "q0_m2_5").read_text(encoding="utf-8")

@@ -1,11 +1,12 @@
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache, reduce
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtensor import psiphi
+from qtensor import psiphi, tensorspace
 from qtensor.coeff import ScalarField, specialize
 from qtensor.combinatorics import (
     Partition,
@@ -222,6 +223,49 @@ def test_phi_matches_field_valued_oracle(n, r, field):
             built[prefix] = (lam.add_box(m), got)
 
 
+CLEARED_FIELDS = [GEN] + [ScalarField.at(q) for q in ("3/2", "2", "-2/5")]
+
+
+@pytest.mark.parametrize("field", CLEARED_FIELDS, ids=lambda f: str(f.q0))
+@pytest.mark.parametrize("n, r", [(3, 5), (4, 5)])
+def test_records_divide_their_cleared_form_into_the_field_valued_vector(n, r, field):
+    # the oracle runs phi's sum in the field, step by step along each walk;
+    # at q0 the record's (D, numerators) is the canonical clear: D > 0 and no
+    # factor common to D and every numerator
+    clear, _, _, over = field.numerator_ring(r)
+    oracle = {(): TensorVector.unit(field, n)}
+    for rec in maximal_basis(n, r, field):
+        rows = rec.walk.rows
+        for k in range(1, r + 1):
+            if rows[:k] not in oracle:
+                oracle[rows[:k]] = _phi_oracle(rows[k - 1], rec.walk.shapes[k - 1], oracle[rows[:k - 1]])
+        D, nums = rec.vector._numerators(clear)
+        assert {k: over(x, D) for k, x in nums.items()} == oracle[rows].coeffs, rows
+        assert rec.vector == oracle[rows], rows
+        if field.q0 is not None:
+            assert (D, nums) == field.clear(rec.vector.coeffs) and D > 0, rows
+            assert gcd(D, *nums.values()) == 1, rows
+
+
+@pytest.mark.parametrize("field", [GEN, ScalarField.at(Fraction(3, 2))], ids=lambda f: str(f.q0))
+def test_second_build_evaluates_no_lowering_rule(field, monkeypatch):
+    # the numerator ring keeps each F_i rule memoised by index, per field
+    # and degree, so a rebuild on the same field finds every image there
+    field = ScalarField(field.q0)  # a fresh memo
+    calls, real = [], tensorspace._coproduct
+
+    def counted(*args):
+        rule = real(*args)
+        return lambda idx: calls.append((rule, idx)) or rule(idx)
+
+    monkeypatch.setattr(tensorspace, "_coproduct", counted)
+    maximal_basis(4, 5, field)
+    first = len(calls)
+    assert first == len(set(calls)) > 0  # one evaluation per rule and index
+    maximal_basis(4, 5, field)
+    assert len(calls) == first
+
+
 @lru_cache(maxsize=None)
 def _generic_basis(n, r):
     return maximal_basis(n, r, GEN)
@@ -425,8 +469,9 @@ def test_specialized_field_construction():
 
 
 def test_phi_clears_input_and_each_xi_once_per_call(monkeypatch):
-    # at q0 a row-m phi clears its input vector and each of its m - 1 xi_j,
-    # so the walk steps of a build clear sum(m) times
+    # at q0 a row-m phi clears each of its m - 1 xi_j; its input arrives
+    # cleared (the previous step's image, or the cleared unit), so the walk
+    # steps of a build clear sum(m - 1) times
     field = ScalarField.at(Fraction(3, 2))
     counts = {"clear": 0, "phi": 0}
     real_clear, real_phi = type(field).clear, psiphi.phi
@@ -443,7 +488,7 @@ def test_phi_clears_input_and_each_xi_once_per_call(monkeypatch):
     monkeypatch.setattr(psiphi, "phi", counted_phi)
     records = maximal_basis(4, 5, field)
     assert counts["phi"] == sum(len(rec.walk.rows) for rec in records)
-    assert counts["clear"] == sum(sum(rec.walk.rows) for rec in records)
+    assert counts["clear"] == sum(m - 1 for rec in records for m in rec.walk.rows)
 
 
 @pytest.mark.parametrize("field", [GEN, ScalarField.at(Fraction(3, 2))], ids=lambda f: str(f.q0))
