@@ -66,9 +66,12 @@ class LaurentPoly:
     """Sparse integer Laurent polynomial in q (exponent -> coefficient map).
 
     Coefficients are arbitrary-precision ints; no stored coefficient is zero.
+    It reads as its own fraction ``num`` / ``den`` over one, as an int does.
     """
 
     __slots__ = ("_terms",)
+    num = property(lambda self: self)
+    den = property(lambda self: _L_ONE)
 
     def __init__(self, terms: dict[int, int] | None = None):
         clean = {e: c for e, c in terms.items() if c} if terms else {}
@@ -695,11 +698,12 @@ class ScalarField(_Value):
     - ``clear(coeffs)`` gives (D, numerators), coeffs[k] = numerators[k] / D,
       D the lcm of the denominators: a positive int over ints at q0, and on
       Q(q) a `LaurentPoly` of lowest exponent 0, positive leading coefficient;
-    - ``numerator_ring(r)`` gives (clear, power, den, over) for vectors with
-      q-exponents in [-r, r]: q^e = power(e) / den, and over(x, d) is the field
-      element x / d for a ring element x and a product d of such denominators;
-      ``_ring_memo(r)`` keeps its F_i rules (``tensorspace._lower``) beside the
-      powers of q, ``_join`` sums cleared parts and ``_text(x, D)`` renders x / D.
+      ``pair`` pairs two, and ``_pairing_form(v)`` is vector v's (its clear);
+    - ``numerator_ring(r)`` gives (clear, power, den, over) for building
+      vectors with q-exponents in [-r, r]: q^e = power(e) / den, over(x, d) is
+      x / d in the field; at q0 that ring is ``clear``'s, and ``_pairing_form``
+      reads a built vector as is.  ``_ring_memo(r)`` keeps its F_i rules beside
+      the powers of q, ``_join`` sums cleared parts, ``_text(x, D)`` renders x / D.
 
     The one, the zero and q - q^-1 are built once, so ``c is field.one()``
     spots the one, and powers of q live in one memo per field.  None is a
@@ -787,6 +791,8 @@ class _GenericField(ScalarField):
         cofactors = {den: _normalize_pair(D, den)[0] for den in dens}
         return D, {k: c.num * cofactors[c.den] for k, c in coeffs.items()}
 
+    _pairing_form = lambda self, v: self.clear(v.coeffs)
+
     def numerator_ring(self, r: int) -> tuple:
         """The field itself, over D = den = 1: a `LaurentPoly` numerator would
         pay a gcd per term it reaches; a field element times q^e pays none."""
@@ -829,6 +835,8 @@ class _RationalField(ScalarField):
     def clear(self, coeffs: dict) -> tuple:
         D = lcm(*[c.denominator for c in coeffs.values()])
         return D, {k: c.numerator * (D // c.denominator) for k, c in coeffs.items()}
+
+    _pairing_form = staticmethod(lambda v: v._numerators())
 
     def numerator_ring(self, r: int) -> tuple:
         """Integers at q0 = a/b: power(e) = a^(r+e) * b^(r-e), den = (ab)^r."""

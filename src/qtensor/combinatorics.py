@@ -70,10 +70,10 @@ class Partition(_Value):
         return self.parts[i - 1] if i <= len(self.parts) else 0
 
     def addable_rows(self, n: int) -> list[int]:
-        """Rows j <= n where a box may be added keeping a partition shape."""
+        """Rows j <= n, none below the first empty row, where a box may be added."""
         if self.nrows > n:
             raise ValueError(f"{self} has more than {n} parts")
-        return [j for j in range(1, n + 1) if j == 1 or self.row(j - 1) > self.row(j)]
+        return [j for j in range(1, min(n, self.nrows + 1) + 1) if j == 1 or self.row(j - 1) > self.row(j)]
 
     def add_box(self, row: int) -> Partition:
         if row < 1 or (row > 1 and self.row(row - 1) <= self.row(row)):

@@ -7,11 +7,11 @@ construction, equal when their fields are), so the command line and the
 tests share one code path; every check is exact (a nonzero residual anywhere
 is a failure, never a tolerance question).
 
-Pairings.  The Gram check and the Specht Gram diagonals clear each vector
-once to one common denominator (``ScalarField.clear``) and pair the numerators
-in the ring (``ScalarField.pair``), so each entry is normalized once and a
-vanishing entry not at all.  The Specht matrices need no pairing: their rows
-are read off the walks (``specht_matrices``).
+Pairings.  The Gram check and the Specht Gram diagonals read each vector once
+in its field's pairing form (``ScalarField._pairing_form``) and pair the
+numerators in the ring (``ScalarField.pair``), so each entry is normalized
+once and a vanishing entry not at all.  The Specht matrices need no pairing:
+their rows are read off the walks (``specht_matrices``).
 
 Relation suites.  All three check each generator's local form on all n^r
 index vectors, by table lookup, and then decide their relations on V, V⊗V
@@ -87,7 +87,6 @@ from .tensorspace import (
     apply_K,
     apply_T,
     apply_tK,
-    bilinear,
     lincomb,
 )
 
@@ -130,11 +129,11 @@ class GramReport(_Value):
 
 def gram_check(records: list[MaximalVectorRecord]) -> GramReport:
     """Full Gram matrix; diagonal must be nonzero, off-diagonal zero.  Each
-    vector is cleared once, and every entry pairs two cleared vectors."""
+    vector is read once in its pairing form, and every entry pairs two."""
     k = len(records)
     matrix = [[None] * k for _ in range(k)]
     violations: list[tuple[Walk, Walk]] = []
-    cleared = [rec.vector.field.clear(rec.vector.coeffs) for rec in records]
+    cleared = [rec.vector.field._pairing_form(rec.vector) for rec in records]
     for i in range(k):
         pair = records[i].vector.field.pair
         for j in range(i, k):
@@ -185,7 +184,8 @@ def specht_matrices(lam: Partition, n: int, r: int, field: ScalarField) -> Spech
     two steps swapped, the row has q^d/[d] on π; if |d| > 1 it also has 1 on
     σ if d > 0, [d-1][d+1]/[d]^2 if d < 0.  Each row is checked exactly: T_i
     v_π minus those terms must vanish.  It is multiplied through by every
-    denominator and summed on numerators (``ScalarField.numerator_ring``).
+    denominator and summed in ``ScalarField.clear``'s ring, on numerators
+    read as the walk vectors' pairing forms, which also give the Gram diagonal.
     """
     records = maximal_basis(n, r, field, lam)
     if not records:
@@ -195,9 +195,9 @@ def specht_matrices(lam: Partition, n: int, r: int, field: ScalarField) -> Spech
     entries = functools.cache(lambda d: (  # on π, and on σ (None if |d| = 1)
         field.q_power(d) / qint(d),
         None if abs(d) == 1 else one if d > 0 else qint(d - 1) * qint(d + 1) / qint(d) ** 2))
-    clear = field.numerator_ring(0)[0]
+    clear = field.clear
     ring_entries = functools.cache(lambda d: clear({k: x for k, x in enumerate(entries(d)) if x is not None}))
-    cleared = [rec.vector._numerators(clear) for rec in records]
+    cleared = [field._pairing_form(rec.vector) for rec in records]
     contents = [[shape.row(m) - m for m, shape in zip(rec.walk.rows, rec.walk.shapes[1:])] for rec in records]
     t_matrices = []
     for i in range(1, r):
@@ -215,13 +215,13 @@ def specht_matrices(lam: Partition, n: int, r: int, field: ScalarField) -> Spech
                 d_s, n_s = cleared[s]
             d_t, image = clear(apply_T(i, rec.vector._fresh(n_p)).coeffs)
             terms = [(d_ab * d_s, image), (-d_t * d_s * ab[0], n_p), (-d_t * d_p * ab.get(1, 0), n_s)]
-            if lincomb(terms, 1):  # 1 is the ring's one at q0, and a unit on Q(q) too
+            if lincomb(terms, 1):  # 1 is the ring's one at q0; on Q(q) no numerator is it
                 raise SpechtConsistencyError(
                     f"T_{i} image of walk {rec.walk} does not match the seminormal form at shape {lam}")
             rows.append(row)
         t_matrices.append(rows)
     return SpechtData(shape=lam, basis=records, t_matrices=t_matrices,
-                      gram_diagonal=[bilinear(rec.vector, rec.vector) for rec in records])
+                      gram_diagonal=[field.pair(c, c) for c in cleared])
 
 
 def invariants_basis(n: int, r: int, field: ScalarField) -> list[MaximalVectorRecord]:

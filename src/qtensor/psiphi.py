@@ -225,22 +225,18 @@ def phi(m: int, weight, b: TensorVector) -> TensorVector:
         raise AddabilityError(f"row {m} is not addable at weight {tuple(weight)}")
     if m > b.n:
         raise ValueError(f"letter {m} out of range 1..{b.n}")
-    # Each xi_j is cleared on use; its words act on the numerators through the
-    # ring's memoised F_i rules, sharing suffix images, and the parts (one per
-    # first letter, each over its own denominator) have disjoint keys.
-    degree = max(b.r, m) - 1
+    # Each xi_j times (-q^-1)^(m-j) is cleared on use; its words act through
+    # the ring's memoised F_i rules, sharing suffix images, one den per letter,
+    # and the parts (one per first letter, over their own D) have disjoint keys.
+    degree = max(b.r, 1) - 1
     clear, power, den, over = field.numerator_ring(degree)
-    one, rules = field.one(), field._ring_memo(degree)
-    D, nums = b._numerators(clear)
+    one, rules, minus_qinv = field.one(), field._ring_memo(degree), -field.q_power(-1)
+    D, nums = b._numerators()
     image = _word_images(nums, lambda i, coeffs: _lower(i, coeffs, power, one, rules))
     parts = [(D, {(m,) + k: x for k, x in nums.items()})]
     for j, xi in reversed(xi_map(m, weight, field) if m >= 2 else []):
-        dj, cw = clear(xi.terms)
-        # the factor (-q^-1)^e = (-1)^e power(-e) / den, and one more den
-        # for each of the e letters in every word of xi_j
-        e = m - j
-        s = power(-e) if e % 2 == 0 else -power(-e)
-        parts.append((D * dj * den ** (e + 1), {(j,) + k: x * s for k, x in _act(cw, image, one).items()}))
+        dj, cw = clear(xi.scale(minus_qinv ** (m - j)).terms)
+        parts.append((D * dj * den ** (m - j), {(j,) + k: x for k, x in _act(cw, image, one).items()}))
     return _Cleared(field, b.n, b.r + 1, field._join(parts), over)
 
 

@@ -1,8 +1,8 @@
 """Sparse vectors in the r-fold tensor power of the vector module, the
 generator actions obtained from the iterated coproduct, the transposition
 generator action, weight extraction, and the standard bilinear form, which
-pairs cleared numerators (one common denominator per operand) and divides
-once.
+pairs each operand's numerators over one common denominator (its field's
+pairing form) and divides once.
 
 Sparse accumulation lives in one place, ``lincomb``.  Every action is a rule
 for one basis index that ``_act`` extends linearly through it, and every word
@@ -18,7 +18,6 @@ immutable; every operation returns a fresh value.
 from __future__ import annotations
 
 from functools import cache
-from typing import Iterator
 
 from .coeff import ScalarField
 
@@ -120,18 +119,14 @@ class TensorVector:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def iter_terms(self) -> Iterator[tuple[Index, object]]:
-        """Terms in lexicographic index order."""
-        for idx in sorted(self.coeffs):
-            yield idx, self.coeffs[idx]
-
-    def _numerators(self, clear) -> tuple:
-        """(D, numerators) in the numerator ring whose ``clear`` is given."""
-        return clear(self.coeffs)
+    def _numerators(self) -> tuple:
+        """(D, numerators) in the field's numerator ring (``numerator_ring``)."""
+        return self.field.numerator_ring(0)[0](self.coeffs)
 
     def _texts(self) -> list[tuple[Index, str]]:
         """(index, coefficient text) in lexicographic index order."""
-        return [(idx, str(c)) for idx, c in self.iter_terms()]
+        (D, nums), text = self._numerators(), self.field._text
+        return [(idx, text(nums[idx], D)) for idx in sorted(nums)]
 
     def _check_shape(self, other: TensorVector):
         if self.n != other.n or self.r != other.r:
@@ -181,7 +176,8 @@ class TensorVector:
 
 class _Cleared(TensorVector):
     """A vector held as ``cleared`` = (D, numerators) in its field's numerator
-    ring: coefficient k is over(numerators[k], D), divided out on the first
+    ring, as ``_numerators`` returns it to rendering and, at q0, pairing:
+    coefficient k is over(numerators[k], D), divided out only on the first
     read of ``coeffs`` (two readers at once form equal dicts)."""
 
     __slots__ = ("cleared", "_over", "_divided")
@@ -197,12 +193,8 @@ class _Cleared(TensorVector):
             self._divided = {k: self._over(x, D) for k, x in nums.items()}
         return self._divided
 
-    def _numerators(self, clear) -> tuple:
+    def _numerators(self) -> tuple:
         return self.cleared
-
-    def _texts(self) -> list[tuple[Index, str]]:
-        (D, nums), text = self.cleared, self.field._text
-        return [(idx, text(nums[idx], D)) for idx in sorted(nums)]
 
 
 # -- generator actions ---------------------------------------------------------
@@ -368,12 +360,12 @@ def apply_T(i: int, v: TensorVector) -> TensorVector:
 
 def bilinear(u: TensorVector, v: TensorVector):
     """Standard symmetric form: the index basis is orthonormal.  Each operand
-    is cleared to one denominator and the numerators are paired in the ring
-    (``ScalarField.clear`` and ``pair``), so the sum is normalized once."""
+    is read in its field's pairing form (numerators over one denominator), and
+    they are paired in the ring (``ScalarField.pair``): one normalization."""
     u._check_shape(v)
     field = u.field
-    cu = field.clear(u.coeffs)
-    return field.pair(cu, cu if v is u else field.clear(v.coeffs))
+    cu = field._pairing_form(u)
+    return field.pair(cu, cu if v is u else field._pairing_form(v))
 
 
 # -- serialization ----------------------------------------------------------------

@@ -84,6 +84,12 @@ def test_addable_rows_examples():
     assert Partition((1, 1, 1)).addable_rows(3) == [1]
 
 
+def test_a_huge_row_bound_reads_only_the_rows_up_to_the_first_empty_one():
+    # no row below the first empty one is addable, so n = 10**12 costs what n = 5 does
+    assert Partition((2, 1)).addable_rows(10**12) == [1, 2, 3]
+    assert enumerate_walks(10**12, 5) == enumerate_walks(5, 5)
+
+
 def test_pairing_constants_examples():
     def constants(w, j):
         return a_const(w, j), c_const(w, j), d_const(w, j)

@@ -23,7 +23,18 @@ from qtensor.dualcheck import (
     verify_suite,
 )
 from qtensor.psiphi import apply_neg, build_c_pi, psi
-from qtensor.tensorspace import TensorVector, apply_E, apply_F, apply_K, apply_T, apply_tK, bilinear, lincomb
+from qtensor.tensorspace import (
+    TensorVector,
+    apply_E,
+    apply_F,
+    apply_K,
+    apply_T,
+    apply_tK,
+    bilinear,
+    format_vector,
+    lincomb,
+    vector_to_json_dict,
+)
 
 GEN = ScalarField.generic()
 P = Partition
@@ -291,6 +302,29 @@ def test_cleared_pairings_specialize():
         gdata, sdata = specht_matrices(lam, 3, 4, GEN), specht_matrices(lam, 3, 4, spec)
         assert [specialize(c, q0) for c in gdata.gram_diagonal] == sdata.gram_diagonal
         assert [[[specialize(c, q0) for c in row] for row in M] for M in gdata.t_matrices] == sdata.t_matrices
+
+
+@pytest.mark.parametrize("q0", ["3/2", "-2/5"])
+def test_q0_readers_take_walk_vectors_as_stored(q0, monkeypatch):
+    # at q0 a walk vector's numerator ring is the pairing ring, so the Gram
+    # check, the norms, the Specht matrices and the rendering read the built
+    # (D, numerators) as they are and never divide them into the field
+    field, n, r = ScalarField.at(q0), 3, 5
+    shapes = partitions_in(n, r)
+    gram = gram_check(maximal_basis(n, r, field))
+    specht = [(d.gram_diagonal, d.t_matrices) for d in (specht_matrices(lam, n, r, field) for lam in shapes)]
+    plain = [TensorVector(field, n, r, rec.vector.coeffs) for rec in maximal_basis(n, r, field)]
+
+    def divided(v):
+        raise AssertionError("a walk vector was divided into the field")
+
+    monkeypatch.setattr(tensorspace._Cleared, "coeffs", property(divided))
+    records = maximal_basis(n, r, field)
+    assert gram_check(records) == gram
+    assert [bilinear(rec.vector, rec.vector) for rec in records] == gram.diagonal
+    assert [(d.gram_diagonal, d.t_matrices) for d in (specht_matrices(lam, n, r, field) for lam in shapes)] == specht
+    assert [vector_to_json_dict(rec.vector) for rec in records] == [vector_to_json_dict(v) for v in plain]
+    assert [format_vector(rec.vector) for rec in records] == [format_vector(v) for v in plain]
 
 
 # -- relation suites can fail ---------------------------------------------------

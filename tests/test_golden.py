@@ -8,8 +8,9 @@ into `dualcheck.verify_stages`; the `vectors` and `specht` files at q0 = 2
 and q0 = -2/5: before `phi` moved onto cleared integer numerators; all
 `specht` files: before `specht_matrices` read its rows off the walks in
 Young's seminormal form instead of projecting each image; the degree-5
-files at q0 = -2/5: before walk vectors stayed cleared from build to
-render).  Any
+`vectors` and `specht` files at q0 = -2/5: before walk vectors stayed
+cleared from build to render; the degree-5 `norms` file: before the
+pairing read walk vectors in the form they are stored in).  Any
 change to a coefficient's canonical form, to the walk order or to the
 rendering shows up here as a byte difference.  The extra points exercise
 the integer q-power multipliers where 3/2 does not: q0 = 2 has denominator
@@ -39,7 +40,7 @@ CASES = [f"{cmd} {size}" for cmd, size in SIZES.items()] + ["invariants --n 3 --
 FIELDS = {"generic": "", "q0_3_2": " --q0 3/2"}
 EXTRA_POINTS = {"q0_2": " --q0=2", "q0_m2_5": " --q0=-2/5"}
 EXTRA_CASES = [f"{cmd} {SIZES[cmd]}" for cmd in ("vectors", "specht")]
-ODD_DEGREE_CASES = [f"{cmd} --n 3 --r 5" for cmd in ("vectors", "specht")]
+ODD_DEGREE_CASES = [f"{cmd} --n 3 --r 5" for cmd in ("vectors", "specht", "norms")]
 
 
 def golden_path(case: str, field: str) -> Path:

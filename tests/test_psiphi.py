@@ -231,17 +231,19 @@ CLEARED_FIELDS = [GEN] + [ScalarField.at(q) for q in ("3/2", "2", "-2/5")]
 def test_records_divide_their_cleared_form_into_the_field_valued_vector(n, r, field):
     # the oracle runs phi's sum in the field, step by step along each walk;
     # at q0 the record's (D, numerators) is the canonical clear: D > 0 and no
-    # factor common to D and every numerator
-    clear, _, _, over = field.numerator_ring(r)
+    # factor common to D and every numerator.  On every field the pairing
+    # form is the clear of the field-valued vector.
+    _, _, _, over = field.numerator_ring(r)
     oracle = {(): TensorVector.unit(field, n)}
     for rec in maximal_basis(n, r, field):
         rows = rec.walk.rows
         for k in range(1, r + 1):
             if rows[:k] not in oracle:
                 oracle[rows[:k]] = _phi_oracle(rows[k - 1], rec.walk.shapes[k - 1], oracle[rows[:k - 1]])
-        D, nums = rec.vector._numerators(clear)
+        D, nums = rec.vector._numerators()
         assert {k: over(x, D) for k, x in nums.items()} == oracle[rows].coeffs, rows
         assert rec.vector == oracle[rows], rows
+        assert field._pairing_form(rec.vector) == field.clear(rec.vector.coeffs), rows
         if field.q0 is not None:
             assert (D, nums) == field.clear(rec.vector.coeffs) and D > 0, rows
             assert gcd(D, *nums.values()) == 1, rows
