@@ -35,6 +35,7 @@ __all__ = ["run_cli", "main"]
 COMMANDS = ("walks", "vectors", "psi", "verify", "norms", "specht", "decompose", "invariants")
 SHAPE_OF_DEGREE_R = ("walks", "vectors", "norms", "specht")
 ALL_SHAPES = ("verify", "decompose", "invariants")
+_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
 class _UsageError(Exception):
@@ -105,9 +106,13 @@ def _emit(cfg: argparse.Namespace, text_lines, json_payload) -> None:
     """Write the rendering asked for, to ``--out`` or to stdout:
     ``text_lines`` and ``json_payload`` are functions that make the text
     lines and the JSON payload, and only the one asked for is called.  The
-    JSON bytes are identical across runs for identical inputs."""
+    JSON bytes are identical across runs for identical inputs: a payload
+    other than a dict is a list's items, encoded one at a time (each item's
+    objects go once it is text) and joined as json.dumps joins a list.  The
+    whole body is made first, so a failed run writes nothing."""
     if cfg.output == "json":
-        body = json.dumps(json_payload(), separators=(",", ":")) + "\n"
+        payload, encode = json_payload(), _JSON.encode
+        body = (encode(payload) if isinstance(payload, dict) else f"[{','.join(map(encode, payload))}]") + "\n"
     else:
         body = "\n".join(text_lines()) + "\n"
     if cfg.out_path is None:
@@ -122,7 +127,7 @@ def _emit(cfg: argparse.Namespace, text_lines, json_payload) -> None:
 
 def _cmd_walks(cfg: argparse.Namespace) -> int:
     rows = [list(w.rows) for w in enumerate_walks(cfg.n, cfg.r, cfg.shape)]
-    _emit(cfg, lambda: [json.dumps(row, separators=(",", ":")) for row in rows], lambda: rows)
+    _emit(cfg, lambda: map(_JSON.encode, rows), lambda: rows)
     return 0
 
 
@@ -130,7 +135,7 @@ def _cmd_vectors(cfg: argparse.Namespace) -> int:
     records = dualcheck.maximal_basis(cfg.n, cfg.r, cfg.field, cfg.shape)
     _emit(cfg, lambda: [f"walk {rec.walk} -> shape {rec.weight}: {tensorspace.format_vector(rec.vector)}"
                         for rec in records],
-          lambda: [tensorspace.vector_to_json_dict(rec.vector) for rec in records])
+          lambda: (tensorspace.vector_to_json_dict(rec.vector) for rec in records))
     return 0
 
 
@@ -216,7 +221,7 @@ def _cmd_invariants(cfg: argparse.Namespace) -> int:
     records = dualcheck.invariants_basis(cfg.n, cfg.r, cfg.field)
     _emit(cfg, lambda: [f"{len(records)} invariant vector(s) in degree {cfg.r} over {cfg.n} letters"] + [
         f"walk {rec.walk}: {tensorspace.format_vector(rec.vector)}" for rec in records
-    ], lambda: [tensorspace.vector_to_json_dict(rec.vector) for rec in records])
+    ], lambda: (tensorspace.vector_to_json_dict(rec.vector) for rec in records))
     return 0
 
 

@@ -850,11 +850,16 @@ class _RationalField(ScalarField):
     @staticmethod
     def _join(parts) -> tuple:
         """The sum of (d, numerators) parts with disjoint keys over D > 0, the lcm
-        of the d (den < 0 at odd r, q0 < 0), with the common content divided out."""
-        D = lcm(*[d for d, _ in parts])
-        out = {k: x * s for d, nums in parts for s in [D // d] for k, x in nums.items()}
-        g = gcd(D, *out.values())
-        return (D, out) if g == 1 else (D // g, {k: x // g for k, x in out.items()})
+        of the d (den < 0 at odd r, q0 < 0), with the common content divided out;
+        parts over D are taken as they are, and the gcd stops once it is 1."""
+        D, out = lcm(*[d for d, _ in parts]), {}
+        for d, nums in parts:
+            out.update(nums if d == D else {k: x * s for s in [D // d] for k, x in nums.items()})
+        g = D
+        for x in out.values():
+            if (g := gcd(g, x)) == 1:
+                return D, out
+        return D // g, {k: x // g for k, x in out.items()}
 
     @staticmethod
     def _text(x: int, D: int) -> str:

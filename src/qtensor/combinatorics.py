@@ -247,14 +247,19 @@ def count_standard(lam: Partition) -> int:
 def weyl_dim(lam: Partition, n: int) -> int:
     """Dimension of the simple highest weight module, by the type-A product
     over pairs of rows; equals the count of column-bounded semistandard
-    tableaux."""
+    tableaux.  Pairs of empty rows give 1; nonempty row i of k against the
+    empty rows telescopes to the product of (n-i+t)/(k-i+t), t = 1..lam_i."""
     if lam.nrows > n:
         raise ValueError(f"{lam} has more than {n} parts")
+    parts, k = lam.parts, lam.nrows
     num = den = 1
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            num *= lam.row(i) - lam.row(j) + j - i
+    for i, p in enumerate(parts, start=1):
+        for j in range(i + 1, k + 1):
+            num *= p - parts[j - 1] + j - i
             den *= j - i
+        for t in range(1, p + 1):
+            num *= n - i + t
+            den *= k - i + t
     return num // den
 
 

@@ -167,29 +167,37 @@ def psi(j: int, weight, field: ScalarField, shift: int = 0) -> NegElement:
     Supported on Coxeter-type words in the generators shift+1 .. shift+j.
     Undefined exactly when the (j+shift)-th coroot pairing vanishes; that is
     reported with a distinct error rather than a zero element.
+
+    Level k of the recursion is psi_k at shift j + shift - k: the constants
+    are checked from level j in, as the recursion meets them, and the memo is
+    filled from level 1 out, so each level finds its inner element cached.
     """
     if j < 0:
         raise ValueError("need j >= 0")
     if shift < 0:
         raise ValueError("need shift >= 0")
-    return _psi_cached(j, shift, _weight_window(weight, j, shift), field)
+    window = _weight_window(weight, j, shift)
+    levels = [(k, j + shift - k) for k in range(j, 0, -1)]
+    for k, s in levels:
+        if d_const(window, k, s) == 0:
+            # for k > 1 this cannot happen for dominant weights, only for general integer ones
+            raise PsiUndefinedError(f"coroot pairing {1 + s} vanishes for weight {(0,) * s + window[s:]}" if k == 1
+                                    else f"denominator constant d_{k} (shift {s}) vanishes")
+    for k, s in reversed(levels):
+        _psi_cached(k, s, (0,) * s + window[s:], field)
+    return _psi_cached(j, shift, window, field)
 
 
 @lru_cache(maxsize=None)
 def _psi_cached(j: int, shift: int, window: tuple[int, ...], field: ScalarField) -> NegElement:
+    """psi_j at a shift, for a window whose constants ``psi`` has checked."""
     if j == 0:
         return NegElement.one(field)
     d = d_const(window, j, shift)
     if j == 1:
-        if d == 0:
-            raise PsiUndefinedError(
-                f"coroot pairing {1 + shift} vanishes for weight {window}")
         return NegElement(field, {(1 + shift,): field.one() / field.qint(d)})
-    if d == 0:
-        # cannot happen for dominant weights, only for general integer ones
-        raise PsiUndefinedError(f"denominator constant d_{j} (shift {shift}) vanishes")
     c = c_const(window, j, shift)
-    inner = psi(j - 1, window, field, shift + 1)
+    inner = _psi_cached(j - 1, shift + 1, (0,) * (shift + 1) + window[shift + 1:], field)
     gen = NegElement.generator(field, 1 + shift)
     dd = field.qint(d)
     return (gen * inner).scale(field.qint(c) / dd) - (inner * gen).scale(field.qint(c - 1) / dd)
@@ -216,7 +224,9 @@ def phi(m: int, weight, b: TensorVector) -> TensorVector:
     of ``xi_map``, (-q^-1)^(m-j) j (x) xi_j(b); letters in the order m .. 1.
     b is read, and the image kept, as (D, numerators) in the field's numerator
     ring (``ScalarField.numerator_ring``): at q0, integers over D > 0 with no
-    common factor; on Q(q), the coefficients over 1.
+    common factor; on Q(q), the coefficients over 1.  So m (x) b is b as it
+    stands, and the whole image for m = 1.  The xi_j times (-q^-1)^(m-j) are
+    cleared once per (m, weight, degree) and kept in the field's ring memo.
     """
     if m < 1:
         raise ValueError("need m >= 1")
@@ -225,18 +235,20 @@ def phi(m: int, weight, b: TensorVector) -> TensorVector:
         raise AddabilityError(f"row {m} is not addable at weight {tuple(weight)}")
     if m > b.n:
         raise ValueError(f"letter {m} out of range 1..{b.n}")
-    # Each xi_j times (-q^-1)^(m-j) is cleared on use; its words act through
-    # the ring's memoised F_i rules, sharing suffix images, one den per letter,
-    # and the parts (one per first letter, over their own D) have disjoint keys.
     degree = max(b.r, 1) - 1
     clear, power, den, over = field.numerator_ring(degree)
-    one, rules, minus_qinv = field.one(), field._ring_memo(degree), -field.q_power(-1)
     D, nums = b._numerators()
+    head = (D, {(m,) + k: x for k, x in nums.items()})
+    if m == 1:
+        return _Cleared(field, b.n, b.r + 1, head, over)
+    one, rules = field.one(), field._ring_memo(degree)
+    key = (m, tuple(weight))
+    if (table := rules.get(key)) is None:
+        table = rules[key] = [(j, dj * den ** (m - j), cw) for j, xi in reversed(xi_map(m, weight, field))
+                              for dj, cw in [clear(xi.scale((-field.q_power(-1)) ** (m - j)).terms)]]
+    # words act through the memoised F_i rules, sharing suffix images; parts have disjoint keys
     image = _word_images(nums, lambda i, coeffs: _lower(i, coeffs, power, one, rules))
-    parts = [(D, {(m,) + k: x for k, x in nums.items()})]
-    for j, xi in reversed(xi_map(m, weight, field) if m >= 2 else []):
-        dj, cw = clear(xi.scale(minus_qinv ** (m - j)).terms)
-        parts.append((D * dj * den ** (m - j), {(j,) + k: x for k, x in _act(cw, image, one).items()}))
+    parts = [head] + [(D * d, {(j,) + k: x for k, x in _act(cw, image, one).items()}) for j, d, cw in table]
     return _Cleared(field, b.n, b.r + 1, field._join(parts), over)
 
 

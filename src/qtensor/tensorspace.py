@@ -124,9 +124,10 @@ class TensorVector:
         return self.field.numerator_ring(0)[0](self.coeffs)
 
     def _texts(self) -> list[tuple[Index, str]]:
-        """(index, coefficient text) in lexicographic index order."""
+        """(index, coefficient text) in index order; each distinct numerator is rendered once."""
         (D, nums), text = self._numerators(), self.field._text
-        return [(idx, text(nums[idx], D)) for idx in sorted(nums)]
+        texts = {x: text(x, D) for x in set(nums.values())}
+        return [(idx, texts[nums[idx]]) for idx in sorted(nums)]
 
     def _check_shape(self, other: TensorVector):
         if self.n != other.n or self.r != other.r:
@@ -372,7 +373,9 @@ def bilinear(u: TensorVector, v: TensorVector):
 
 
 def vector_to_json_dict(v: TensorVector) -> dict:
-    terms = [{"idx": list(idx), "coeff": text} for idx, text in v._texts()]
+    """{"n", "r", "terms"}, the terms in lexicographic index order, each with
+    "idx" its index tuple (which JSON writes as a list) and "coeff" its text."""
+    terms = [{"idx": idx, "coeff": text} for idx, text in v._texts()]
     return {"n": v.n, "r": v.r, "terms": terms}
 
 

@@ -129,6 +129,46 @@ def test_only_the_requested_rendering_is_made(command, capsys, monkeypatch):
     assert run(base + ["--output", "text"], capsys) == expected["text"]
 
 
+JSON_JOBS = {
+    "walks": ["--n", "3", "--r", "3"],
+    "vectors": ["--n", "3", "--r", "4"],
+    "psi": ["--n", "4", "--shape", "2,1"],
+    "verify": ["--n", "2", "--r", "3"],
+    "norms": ["--n", "3", "--r", "3"],
+    "specht": ["--n", "3", "--r", "3"],
+    "decompose": ["--n", "3", "--r", "3"],
+    "invariants": ["--n", "3", "--r", "3"],
+}
+
+
+@pytest.mark.parametrize("q0", [None, "3/2", "-2/5"], ids=str)
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_json_output_is_json_dumps_of_the_payload(command, q0, capsys, monkeypatch):
+    # a list payload is written one item at a time; the bytes are those of
+    # json.dumps of the whole payload, as a list
+    payloads, real = [], cli._emit
+
+    def emit(cfg, text_lines, json_payload):
+        payload = json_payload()
+        payloads.append(payload if isinstance(payload, dict) else list(payload))
+        real(cfg, text_lines, json_payload)
+
+    monkeypatch.setattr(cli, "_emit", emit)
+    argv = [command, *JSON_JOBS[command], "--output", "json"] + ([f"--q0={q0}"] if q0 else [])
+    status, out, _ = run(argv, capsys)
+    assert status == 0
+    assert out == json.dumps(payloads[0], separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("n", [400, 1200])
+def test_psi_deeper_than_recursion_limit(n, capsys):
+    # psi_j for j >= 3 is undefined at shape 2,1, which the recursion would
+    # find only at its innermost level; 1200 is past the default limit of 1000
+    status, out, _ = run(["psi", "--n", str(n), "--shape", "2,1"], capsys)
+    assert status == 0
+    assert len(out.splitlines()) == n - 1
+
+
 def test_usage_errors(capsys):
     assert run(["frobnicate", "--n", "2"], capsys)[0] == 2
     assert run(["walks"], capsys)[0] == 2

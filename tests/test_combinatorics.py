@@ -265,6 +265,28 @@ def test_weyl_dim_against_semistandard_enumeration():
         assert weyl_dim(lam, n) == _brute_semistandard_count(lam, n)
 
 
+def _pair_product_dim(lam, n):
+    num = den = 1
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            num *= lam.row(i) - lam.row(j) + j - i
+            den *= j - i
+    return num // den
+
+
+def test_weyl_dim_against_the_pair_product():
+    for n in range(1, 9):
+        for r in range(0, 7):
+            for lam in partitions_in(n, r):
+                assert weyl_dim(lam, n) == _pair_product_dim(lam, n), (lam, n)
+
+
+def test_weyl_dim_at_huge_n():
+    # the symmetric square of an n-dimensional space: C(n + 1, 2)
+    n = 10**12
+    assert weyl_dim(Partition((2,)), n) == (n + 1) * n // 2
+
+
 def test_bimodule_dimension_identity():
     for n in range(1, 5):
         for r in range(0, 7):

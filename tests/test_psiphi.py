@@ -470,36 +470,57 @@ def test_specialized_field_construction():
             assert is_maximal(rec.vector)
 
 
-def test_phi_clears_input_and_each_xi_once_per_call(monkeypatch):
-    # at q0 a row-m phi clears each of its m - 1 xi_j; its input arrives
-    # cleared (the previous step's image, or the cleared unit), so the walk
-    # steps of a build clear sum(m - 1) times
-    field = ScalarField.at(Fraction(3, 2))
+def _count_ring_clears_and_phi(monkeypatch, field):
+    # every clear in the numerator ring goes through the function that
+    # numerator_ring returns; counting its calls counts them all
     counts = {"clear": 0, "phi": 0}
-    real_clear, real_phi = type(field).clear, psiphi.phi
+    real_ring, real_phi = type(field).numerator_ring, psiphi.phi
 
-    def clear(self, coeffs):
-        counts["clear"] += 1
-        return real_clear(self, coeffs)
+    def numerator_ring(self, r):
+        clear, *rest = real_ring(self, r)
+
+        def counted_clear(coeffs):
+            counts["clear"] += 1
+            return clear(coeffs)
+
+        return (counted_clear, *rest)
 
     def counted_phi(*args, **kwargs):
         counts["phi"] += 1
         return real_phi(*args, **kwargs)
 
-    monkeypatch.setattr(type(field), "clear", clear)
+    monkeypatch.setattr(type(field), "numerator_ring", numerator_ring)
     monkeypatch.setattr(psiphi, "phi", counted_phi)
+    return counts
+
+
+FRESH_FIELDS = [None, Fraction(3, 2)]
+
+
+@pytest.mark.parametrize("q0", FRESH_FIELDS, ids=str)
+def test_phi_clears_each_xi_table_once_per_row_and_shape(q0, monkeypatch):
+    # phi's input arrives cleared (the previous step's image, or the cleared
+    # unit) and is never cleared; the xi_1 .. xi_{m-1} of a row-m step at a
+    # shape are cleared once per field, on that (row, shape)'s first step
+    # (the shape fixes the ring degree), and kept in the field's ring memo
+    field = ScalarField(q0)
+    counts = _count_ring_clears_and_phi(monkeypatch, field)
     records = maximal_basis(4, 5, field)
+    steps = {(m, lam) for rec in records for m, lam in zip(rec.walk.rows, rec.walk.shapes)}
     assert counts["phi"] == sum(len(rec.walk.rows) for rec in records)
-    assert counts["clear"] == sum(m - 1 for rec in records for m in rec.walk.rows)
+    assert counts["clear"] == sum(m - 1 for m, _ in steps) == 21
 
 
-@pytest.mark.parametrize("field", [GEN, ScalarField.at(Fraction(3, 2))], ids=lambda f: str(f.q0))
-def test_phi_reads_psi_through_the_one_memo(field):
-    # a rebuild finds every xi_j of every row-m step in _psi_cached: one hit
-    # per xi_j, sum(m - 1) over the steps, and no miss
+@pytest.mark.parametrize("q0", FRESH_FIELDS, ids=str)
+def test_rebuild_makes_no_psi_lookups_and_no_clears(q0, monkeypatch):
+    # a rebuild in the same field finds every xi table in the ring memo: it
+    # calls phi once per walk step, but neither looks up psi nor clears
+    field = ScalarField(q0)
     maximal_basis(4, 5, field)
+    counts = _count_ring_clears_and_phi(monkeypatch, field)
     before = psiphi._psi_cached.cache_info()
     records = maximal_basis(4, 5, field)
     after = psiphi._psi_cached.cache_info()
-    assert after.misses == before.misses
-    assert after.hits - before.hits == sum(m - 1 for rec in records for m in rec.walk.rows)
+    assert counts["phi"] == sum(len(rec.walk.rows) for rec in records)
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    assert counts["clear"] == 0

@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 from functools import reduce
 
@@ -10,6 +11,7 @@ from qtensor.dualcheck import (
     check_commuting_actions,
     check_hecke_relations,
     check_quantum_relations,
+    maximal_basis,
 )
 from qtensor.psiphi import NegElement, apply_neg, build_c_pi, jimbo_root_vectors
 from qtensor.combinatorics import enumerate_walks
@@ -23,7 +25,9 @@ from qtensor.tensorspace import (
     apply_T,
     apply_tK,
     bilinear,
+    format_vector,
     lincomb,
+    vector_to_json_dict,
     weight_of,
 )
 
@@ -364,3 +368,33 @@ def test_shape_validation():
         TensorVector(GEN, 2, 2, {(1, 3): GEN.one()})
     with pytest.raises(ShapeMismatchError):
         basis((1, 2)) + TensorVector.basis(GEN, 3, (1, 2))
+
+
+def _oracle_terms(v):
+    """(index list, str of the coefficient) in lexicographic index order."""
+    return [(list(idx), str(c)) for idx, c in sorted(v.coeffs.items())]
+
+
+def _oracle_format(v):
+    parts = []
+    for idx, ctext in _oracle_terms(v):
+        if " " in ctext and not ctext.startswith("("):
+            ctext = f"({ctext})"
+        body = "v[" + ",".join(map(str, idx)) + "]"
+        parts.append(body if ctext == "1" else f"{ctext}*{body}")
+    return " + ".join(parts) or "0"
+
+
+@pytest.mark.parametrize("q0", [None, Fraction(3, 2), Fraction(-2, 5)], ids=str)
+def test_rendering_matches_a_list_based_oracle(q0):
+    # built vectors (held cleared), vectors made by arithmetic, one with a
+    # coefficient repeated on many indices, and the zero vector
+    field = ScalarField(q0)
+    built = [rec.vector for rec in maximal_basis(3, 4, field)]
+    c = field.qint(3) / field.qint(2)
+    vectors = built + [v.scale(c) for v in built] + [built[-1] + built[-2], TensorVector.zero(field, 3, 2),
+                       TensorVector(field, 3, 2, {idx: c for idx in itertools.product((1, 2, 3), repeat=2)})]
+    for v in vectors:
+        oracle = {"n": v.n, "r": v.r, "terms": [{"idx": idx, "coeff": text} for idx, text in _oracle_terms(v)]}
+        assert json.dumps(vector_to_json_dict(v)) == json.dumps(oracle)
+        assert format_vector(v) == _oracle_format(v)
