@@ -23,17 +23,41 @@ or V⊗V⊗V (Jimbo 1986):
   table (F_j mirrored: f_j, with kappa'_j on the right); K_j is c_j
   k_j⊗...⊗k_j with k_j(j mod n + 1) = 1, and K~_j and K_j^-1 likewise (K_j^-1
   as c'_j k'_j⊗...⊗k'_j); and, for U1-U7 only, c_j c'_j = 1 and kappa_j =
-  k_j k_{j+1}^-1 = q^(δ(a,j) - δ(a,j+1)) at each letter a, kappa'_j its
+  q^h_j with h_j(a) = δ(a,j) - δ(a,j+1) at each letter a, kappa'_j its
   inverse;
 - U1-U7 (r > 1) hold on V^{⊗r} when they hold on V for e_j, f_j, k_j and
   k'_j.  U1 and U3 follow slot by slot (c_j cancels in U3, c_j c'_j = 1 in
-  U1).  For U2 and U4-U7, e_j, f_j and kappa_j^{±1} are then a
-  representation of U_q(sl_n) on V (kappa_i conjugates e_j to q^(a_ij) e_j
-  because k_i and k_{i+1} do, by U3 on V); Δ(E) = E⊗1 + K~⊗E, Δ(F) =
-  F⊗K~^-1 + 1⊗F, Δ(K~) = K~⊗K~ is an algebra map (Jantzen 1996, ch. 3-4), so
-  its iterate carries the relations to V^{⊗r}, where it gives E_j and F_j,
-  and (K~_j - K~_j^-1)/(q - q^-1) acts as U2's [m_j - m_{j+1}].  For
-  r <= 1, U1-U7 are decided on the tensor power's own tables;
+  U1).  For U2 and U4-U7, write k(a) for (k_1(a), ..., k_n(a)), α_j for
+  ε_j - ε_{j+1} in Z^n, and q^β for (q^β_1, ..., q^β_n); q is not a root of
+  unity, so q^β = q^γ only if β = γ.
+  (1) U1 on V makes every k_i(a) nonzero, and U3 on V makes k a potential:
+  an entry of e_j taking v_b to a multiple of v_a has k(a) = q^α_j k(b)
+  (an entry of f_j: q^-α_j).
+  (2) U2 on V gives [e_j, f_j] = diag(h_j).  The letters a with k(a) in
+  k(j) q^(Z α_j) span a space that e_j and f_j keep, as they keep the span
+  of the others, by (1); the commutator's trace there is 0, so j+1 is among
+  them: k(j) = q^(z_j α_j) k(j+1) with z_j in Z, and k(a) = q^(z_a α_a +
+  ... + z_(b-1) α_(b-1)) k(b) for a < b.  The α_i are independent, so an
+  entry of e_j on letters a and b needs j between them (min(a,b) <= j <
+  max(a,b)), z_j = ±1 and z_i = 0 for every other i between them.  Every
+  e_i has an entry (as [e_i, f_i] is not 0), so every z_i is ±1: e_j has
+  one entry, taking v_(j+1) to v_j if z_j = 1 and v_j to v_(j+1) if z_j =
+  -1, and f_j one the other way.  Off-diagonal U2 makes z_j = z_(j+1) = s:
+  if e_j takes v_(j+1) to v_j and e_(j+1) v_(j+1) to v_(j+2), then e_j
+  f_(j+1) v_(j+2) is not 0 and f_(j+1) e_j v_(j+2) is; the other mix fails
+  at v_j.
+  (3) So kappa_i conjugates e_j to q^(s a_ij) e_j and f_j to q^(-s a_ij) f_j
+  on V (h_i(j) - h_i(j+1) = a_ij, the Cartan matrix).  With s = 1, e_j, f_j
+  and kappa_j^{±1} are a representation of U_q(sl_n) on V; with s = -1,
+  e_j, -f_j and kappa_j^{±1} are one of U_(q^-1)(sl_n), whose U2 has
+  q^-1 - q in the denominator and whose Serre relations have q^-1 + q, the
+  same [2].  Δ(E) = E⊗1 + K~⊗E, Δ(F) = F⊗K~^-1 + 1⊗F, Δ(K~) = K~⊗K~ is an
+  algebra map for both (Jantzen 1996, ch. 3-4; in U2 the cross terms K~_i
+  F_j ⊗ E_i K~_j^-1 and F_j K~_i ⊗ K~_j^-1 E_i are equal, as the Cartan
+  matrix is symmetric), so its iterate carries the relations to V^{⊗r},
+  where it gives E_j and F_j (-F_j if s = -1), and (K~_j - K~_j^-1)/(q -
+  q^-1) acts as U2's [m_j - m_{j+1}].  For r <= 1, U1-U7 are decided on the
+  tensor power's own tables;
 - Hecke and commuting lemmas: the quadratic row, with its support check, is
   R^(i)'s on V⊗V; the braid row is R^(i)_12 R^(i+1)_23 R^(i)_12 =
   R^(i+1)_23 R^(i)_12 R^(i+1)_23 on V⊗V⊗V; far commutation follows from
@@ -326,7 +350,8 @@ def root_vector_check(lam: Partition, n: int, field: ScalarField) -> RootVectorR
     expected count, distinct weights, and linear independence, then apply them
     to a highest-weight vector in tensor space and re-check independence of
     the nonvanishing images.  Only the first walk vector of the shape is
-    needed, so it is built directly rather than through ``maximal_basis``."""
+    needed, so it is built directly rather than through ``maximal_basis``:
+    the lexicographically first walk fills row 1, then row 2, and so on."""
     if lam.nrows > n:
         raise ValueError(f"{lam} has more than {n} rows")
     for j in range(1, n):
@@ -352,8 +377,8 @@ def root_vector_check(lam: Partition, n: int, field: ScalarField) -> RootVectorR
     one = field.one()
     independent = _rank([el.terms for _, _, el in entries], one) == len(entries)
 
-    r = lam.size
-    base = build_c_pi(enumerate_walks(n, r, lam)[0], field, n).vector
+    first = Walk(tuple(m for m, part in enumerate(lam.parts, 1) for _ in range(part)))
+    base = build_c_pi(first, field, n).vector
     vanished: list[tuple[int, int]] = []
     images: list[dict] = []
     for m, j, el in entries:
@@ -689,22 +714,24 @@ def _tensor_power(words: _Words, gen) -> tuple | None:
 def _one_site(words: _Words) -> _Words | None:
     """The one-site forms of E_j, F_j, K_j and K_j^-1 on V, as tables on the
     1-tuples of a new `_Words` under the same keys, if every premise of the
-    quantum suite holds on all n^r vectors (r > 1; module docstring), else
-    None."""
+    quantum suite holds on all n^r vectors (r > 1), else None: K_j and
+    K_j^-1 are c_j k_j⊗...⊗k_j and c'_j k'_j⊗...⊗k'_j with c_j c'_j = 1, and
+    E_j and F_j are iterated coproducts with grouplikes q^h_j and q^-h_j.
+    No premise ties k_j to the grouplikes: with U1-U7 on V, each e_j and f_j
+    has its one entry where the standard or the twisted vector
+    representation has it, and the relations lift either way (module
+    docstring)."""
     n, field = words.n, words.field
     letters = range(1, n + 1)
-    local, k = _Words(field, n, 1), {}
+    local = _Words(field, n, 1)
     for j in letters:
         forms = [_tensor_power(words, (action, j)) for action in (apply_K, _apply_K_inverse)]
         if None in forms or forms[0][0] * forms[1][0] != words.one:
             return None
-        k[j] = forms[0][1]
         for action, (_, one_site) in zip((apply_K, _apply_K_inverse), forms):
             local.tables[action, j] = {(a,): {(a,): x} for a, x in one_site.items()}
     for j in range(1, n):
         h = {a: (a == j) - (a == j + 1) for a in letters}
-        if any(field.q_power(h[a]) * k[j + 1][a] != k[j][a] for a in letters):
-            return None
         for action, sign in ((apply_E, 1), (apply_F, -1)):
             form = _coproduct_form(words, (action, j), sign < 0)
             if form is None or form[1] != {a: field.q_power(sign * h[a]) for a in letters}:

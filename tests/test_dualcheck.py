@@ -272,9 +272,20 @@ def test_root_vector_reports():
     assert rep.ok and len(rep.entries) == 4 * 3 // 2
     with pytest.raises(ValueError):
         root_vector_check(P((2, 2)), 3, GEN)
-    # refused up front, as specht_matrices does, not an IndexError from the walk enumeration
+    # refused up front, as specht_matrices does, before any walk is built
     with pytest.raises(ValueError, match="^3,2,1 has more than 2 rows$"):
         root_vector_check(P((3, 2, 1)), 2, GEN)
+
+
+def test_root_vector_check_builds_the_first_walk(monkeypatch):
+    # the walk filling row 1, then row 2, ... is the first one enumerate_walks lists
+    built, build = [], dualcheck.build_c_pi
+    monkeypatch.setattr(dualcheck, "build_c_pi", lambda walk, field, n: built.append(walk) or build(walk, field, n))
+    shapes = [(n, lam) for n in (2, 3, 4) for r in range(8) for lam in partitions_in(n, r)
+              if all(lam.row(j) > lam.row(j + 1) for j in range(1, n))]
+    for n, lam in shapes:
+        assert root_vector_check(lam, n, GEN).ok
+    assert built == [enumerate_walks(n, lam.size, lam)[0] for n, lam in shapes] and len(shapes) == 29
 
 
 def test_verify_suite_passes():
@@ -456,14 +467,10 @@ def test_true_actions_give_the_exhaustive_quantum_verdicts(field):
         assert [c.ok for c in rows] == list(exhaustive.values()) == [True] * 7
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
-@pytest.mark.parametrize("n,r", [(1, 3), (2, 2), (2, 4), (3, 3), (4, 3), (3, 1), (3, 0)])
-def test_local_suites_pass_without_a_scan(n, r, field, monkeypatch):
-    # the true actions meet every premise and every local lemma, so no pair
-    # reaches _decide unproved, which would compare words on the n^r vectors;
-    # at r <= 1 this reads K_j and K_j^-1 as tensor powers of degree 0 and 1,
-    # and U1-U7 are proved on the tensor power's own tables
-    words, decide, fallbacks = dualcheck._Words(field, n, r), dualcheck._decide, []
+def _fallbacks(monkeypatch):
+    """The list that (row name, pair label) is appended to whenever a pair
+    reaches ``_decide`` unproved, to be compared on the n^r vectors."""
+    decide, fallbacks = dualcheck._decide, []
 
     def spy(w, name, pairs):
         pairs = list(pairs)
@@ -471,6 +478,17 @@ def test_local_suites_pass_without_a_scan(n, r, field, monkeypatch):
         return decide(w, name, pairs)
 
     monkeypatch.setattr(dualcheck, "_decide", spy)
+    return fallbacks
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
+@pytest.mark.parametrize("n,r", [(1, 3), (2, 2), (2, 4), (3, 3), (4, 3), (3, 1), (3, 0)])
+def test_local_suites_pass_without_a_scan(n, r, field, monkeypatch):
+    # the true actions meet every premise and every local lemma, so no pair
+    # reaches _decide unproved, which would compare words on the n^r vectors;
+    # at r <= 1 this reads K_j and K_j^-1 as tensor powers of degree 0 and 1,
+    # and U1-U7 are proved on the tensor power's own tables
+    words, fallbacks = dualcheck._Words(field, n, r), _fallbacks(monkeypatch)
     rows = (check_quantum_relations(n, r, field, words=words) + check_hecke_relations(n, r, field, words=words)
             + [check_commuting_actions(n, r, field, words=words)])
     assert [(c.ok, c.detail) for c in rows] == [(True, "")] * 11 and fallbacks == []
@@ -616,8 +634,7 @@ def _broken_quantum_premises(n, r, field):
     """The premises of the quantum suite's reduction to V that fail: K_j or
     K_j^-1 not c k⊗...⊗k (with k(j mod n + 1) = 1), the two scalars c of K_j
     and K_j^-1 not inverse ("c_j"), E_j or F_j off its coproduct form, or its
-    grouplike not K~_j = k_j k_{j+1}^-1 = q^(δ(a,j) - δ(a,j+1)) (K~_j^-1 for
-    F_j)."""
+    grouplike not K~_j = q^(δ(a,j) - δ(a,j+1)) (K~_j^-1 for F_j)."""
     words, q, letters = dualcheck._Words(field, n, r), field.q_power, range(1, n + 1)
     k = {(x, j): dualcheck._tensor_power(words, (action, j))
          for x, action in (("K", dualcheck.apply_K), ("K^-1", dualcheck._apply_K_inverse)) for j in letters}
@@ -627,11 +644,9 @@ def _broken_quantum_premises(n, r, field):
     for x, sign in (("E", 1), ("F", -1)):
         for j in range(1, n):
             form = dualcheck._coproduct_form(words, (getattr(dualcheck, "apply_" + x), j), sign < 0)
-            h = {a: (a == j) - (a == j + 1) for a in letters}
             if form is None:
                 broken.add(f"{x}_{j}")
-            elif form[1] != {a: q(sign * h[a]) for a in letters} or None not in (k["K", j], k["K", j + 1]) and any(
-                    q(h[a]) * k["K", j + 1][1][a] != k["K", j][1][a] for a in letters):
+            elif form[1] != {a: q(sign * ((a == j) - (a == j + 1))) for a in letters}:
                 broken.add(f"grouplike of {x}_{j}")
     return broken
 
@@ -659,6 +674,112 @@ def test_a_broken_quantum_premise_falls_back_to_the_exhaustive_verdicts(mutant, 
     assert _broken_premises(n, r, field) == ({"K_1"} if mutant == "K_1 not a tensor power" else set())
     verdicts = _quantum_verdicts(n, r, field)
     assert verdicts == exhaustive_quantum_relations(n, r, field) and not all(verdicts.values())
+
+
+def _install(monkeypatch, datum):
+    """Replace apply_E, apply_F and apply_K by the actions of a one-site datum
+    (e, f, k): E_j and F_j are the iterated coproducts of e_j and f_j (each a
+    map letter -> {letter: integer coefficient}) with the grouplikes
+    q^(±h_j), h_j(a) = δ(a,j) - δ(a,j+1), on the left of the slot for E_j and
+    on its right for F_j; K_j is k_j⊗...⊗k_j with k_j(a) = q^k[j][a]."""
+    e, f, k = datum
+
+    def coproduct(ops, sign):
+        def action(j, v):
+            q, from_int = v.field.q_power, v.field.from_int
+            h = lambda a: sign * ((a == j) - (a == j + 1))
+
+            def rule(idx):
+                return {idx[:s] + (b,) + idx[s + 1:]: from_int(x) * q(sum(map(h, idx[:s] if sign > 0 else idx[s + 1:])))
+                        for s, a in enumerate(idx) for b, x in ops[j].get(a, {}).items()}
+
+            return tensorspace._apply(v, rule)
+
+        return action
+
+    def apply_K(j, v, inverse=False):
+        q = v.field.q_power
+        return tensorspace._apply(v, lambda idx: {idx: q((-1 if inverse else 1) * sum(k[j][a] for a in idx))})
+
+    for name, action in (("apply_E", coproduct(e, 1)), ("apply_F", coproduct(f, -1)), ("apply_K", apply_K)):
+        monkeypatch.setattr(dualcheck, name, action)
+
+
+def _twisted(n):
+    """The twisted vector representation on n letters: e_j is the standard f_j
+    (v_j to v_{j+1}), f_j is minus the standard e_j, and K_j and K_j^-1 are
+    exchanged.  Its grouplikes are the true K~_j^{±1}, but k_j is not
+    q^(δ(a,j) - δ(a,j+1)) k_{j+1}."""
+    letters = range(1, n + 1)
+    return ({j: {j: {j + 1: 1}} for j in letters[:-1]}, {j: {j + 1: {j: -1}} for j in letters[:-1]},
+            {j: {a: -(a == j) for a in letters} for j in letters})
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
+@pytest.mark.parametrize("n,r", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
+def test_twisted_representation_is_decided_on_V(n, r, field, monkeypatch):
+    # every relation holds on V^{⊗r}, and every premise the suite reads
+    # holds, so the suite proves each pair on V and compares no words
+    _install(monkeypatch, _twisted(n))
+    assert _broken_quantum_premises(n, r, field) == set()
+    fallbacks = _fallbacks(monkeypatch)
+    verdicts = _quantum_verdicts(n, r, field)
+    assert fallbacks == [] and verdicts == exhaustive_quantum_relations(n, r, field) and all(verdicts.values())
+
+
+def _forced_k(n, e, f):
+    """The k of a one-site datum as exponents (k_j(a) = q^k[j][a]) that U3 on
+    V forces with k_j(j mod n + 1) = 1: an entry of e_j taking v_b to v_a sets
+    k(a) = q^α_j k(b), α_j = ε_j - ε_{j+1}, and an entry of f_j q^-α_j.  None
+    when the entries leave a letter unreached or contradict each other."""
+    steps = {a: [] for a in range(1, n + 1)}
+    for ops, sign in ((e, 1), (f, -1)):
+        for j, op in ops.items():
+            alpha = [sign * ((i == j) - (i == j + 1)) for i in range(1, n + 1)]
+            for b, image in op.items():
+                for a in image:
+                    steps[b].append((a, alpha))
+                    steps[a].append((b, [-x for x in alpha]))
+    exponent, todo = {1: [0] * n}, [1]
+    while todo:
+        b = todo.pop()
+        for a, alpha in steps[b]:
+            p = [x + y for x, y in zip(exponent[b], alpha)]
+            if a not in exponent:
+                exponent[a] = p
+                todo.append(a)
+            elif exponent[a] != p:
+                return None
+    if len(exponent) < n:
+        return None
+    return {j: {a: p[j - 1] - exponent[j % n + 1][j - 1] for a, p in exponent.items()} for j in range(1, n + 1)}
+
+
+def test_single_entry_data_that_pass_on_V_pass_on_tensor_powers(monkeypatch):
+    """Every one-site datum at n = 3 whose e_j and f_j are each ±1 at one
+    off-diagonal position, with the k forced by U3 on V: the 8 that pass the
+    quantum suite on V (r = 1) are the standard and the twisted representation
+    with signs, and at r = 2 and 3 each gets the oracle's verdicts with no
+    pair compared on the n^r vectors."""
+    n, field, letters = 3, FIELDS[1], range(1, 4)
+    units = [{b: {a: x}} for a in letters for b in letters if a != b for x in (1, -1)]
+    passing = []
+    for e1, e2, f1, f2 in itertools.product(units, repeat=4):
+        e, f = {1: e1, 2: e2}, {1: f1, 2: f2}
+        k = _forced_k(n, e, f)
+        if k is not None:
+            _install(monkeypatch, (e, f, k))
+            if all(c.ok for c in check_quantum_relations(n, 1, field)):
+                passing.append((e, f, k))
+    positions = sorted([(b, a) for op in e.values() for b, image in op.items() for a in image] for e, _, _ in passing)
+    assert positions == [[(1, 2), (2, 3)]] * 4 + [[(2, 1), (3, 2)]] * 4
+    fallbacks = _fallbacks(monkeypatch)
+    for datum in passing:
+        _install(monkeypatch, datum)
+        for r in (2, 3):
+            verdicts = _quantum_verdicts(n, r, field)
+            assert verdicts == exhaustive_quantum_relations(n, r, field) and all(verdicts.values()), (datum, r)
+    assert fallbacks == []
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
