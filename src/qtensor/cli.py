@@ -6,7 +6,8 @@ and decomposition reports.  Exit status: 0 on success, 1 when a verification
 assertion fails, 2 on usage errors, among them a --shape that is not a
 partition of --r into at most --n parts (for psi, which ignores --r: a
 --shape with more than --n parts), and any --shape given to verify, decompose
-or invariants, which run over every shape.
+or invariants, which run over every shape.  A run that exhausts memory
+exits 1 with a one-line error.
 
 Flag grammar::
 
@@ -247,6 +248,9 @@ def run_cli(argv: list[str]) -> int:
         return 2
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -16,8 +16,8 @@ heuristic GCD of Char, Geddes & Gonnet (1989): evaluate both primitive parts
 at an integer xi, take the integer gcd, and read the candidate back from its
 symmetric base-xi digits.  A candidate is accepted only after exact integer
 trial division of both operands; with xi above twice the root bound, such a
-candidate is the gcd.  After a fixed number of xi values the gcd falls back
-to a primitive pseudo-remainder sequence (Brown 1971).  Sums and products
+candidate is the gcd.  A rejected candidate sends xi up, and a large enough
+xi always gives the gcd, so the retries end (``_poly_gcd``).  Sums and products
 that cannot cancel a polynomial factor skip the gcd: a product with a
 monomial +-c*q^k only fixes the integer content, and a sum over a shared
 denominator b needs only gcd(a + c, b).
@@ -283,9 +283,6 @@ def qfact(m: int) -> LaurentPoly:
 # Dense low-to-high int coefficient lists with a nonzero constant term; the
 # caller shifts out the q-valuation first so units q^k never enter the gcd.
 
-_HEU_GCD_TRIES = 6
-
-
 def _dense(p: LaurentPoly) -> tuple[int, list[int]]:
     terms = p._terms
     lo, hi = min(terms), max(terms)
@@ -313,13 +310,6 @@ def _divide(a: list[int], b: list[int]) -> list[int] | None:
     return None if any(rem[:nb]) else quot
 
 
-def _divexact(a: list[int], b: list[int]) -> list[int]:
-    quot = _divide(a, b)
-    if quot is None:
-        raise ArithmeticError("inexact polynomial division")
-    return quot
-
-
 def _eval(a: list[int], xi: int) -> int:
     v = 0
     for c in reversed(a):
@@ -340,30 +330,6 @@ def _digits(v: int, xi: int) -> list[int]:
     return out
 
 
-def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
-    """gcd of two primitive polynomials by the primitive pseudo-remainder
-    sequence (Brown 1971); primitive, positive leading coefficient."""
-    if len(a) < len(b):
-        a, b = b, a
-    while len(b) > 1:
-        rem = list(a)
-        nb = len(b) - 1
-        lead = b[-1]
-        while len(rem) > nb:
-            c = rem.pop()
-            shift = len(rem) - nb
-            rem = [x * lead for x in rem]
-            for j in range(nb):
-                rem[shift + j] -= c * b[j]
-            while rem and not rem[-1]:
-                rem.pop()
-        if not rem:
-            return b if b[-1] > 0 else [-c for c in b]
-        cont = gcd(*rem)
-        a, b = b, [c // cont for c in rem]
-    return [1]
-
-
 def _poly_gcd(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]]:
     """(g, a / g, b / g) for primitive a, b with nonzero constant terms, where
     g is their gcd: primitive with a positive leading coefficient.
@@ -374,10 +340,14 @@ def _poly_gcd(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[in
     a candidate read from the symmetric digits of gcd(a(xi), b(xi)) whose
     primitive part h divides both a and b is g itself: g = h*k with k
     nonconstant would need |k(xi)| <= xi/2, yet |k(xi)| >= xi - R > xi/2.
-    A candidate that fails the trial division sends xi up; after
-    _HEU_GCD_TRIES values the primitive PRS decides."""
+    A candidate that fails the trial division sends xi up, and the retries
+    end: write a = g*a', b = g*b'.  Then gcd(a(xi), b(xi)) = g(xi)*gamma,
+    where gamma divides Res(a', b') != 0, so once xi > 2*|Res|*|g|_inf the
+    symmetric digits are those of gamma*g, whose primitive part is g.  Each
+    retry multiplies xi by 2.73*floor(xi^(1/4)), rounded down, which takes it
+    to at least xi^(5/4), so the number of tries is O(log log(|Res|*|g|_inf))."""
     xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 4
-    for _ in range(_HEU_GCD_TRIES):
+    while True:
         h = _digits(gcd(_eval(a, xi), _eval(b, xi)), xi)
         if len(h) == 1:
             return [1], a, b
@@ -390,8 +360,6 @@ def _poly_gcd(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[in
                 if qb is not None:
                     return h, qa, qb
         xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
-    g = _prs_gcd(a, b)
-    return g, _divexact(a, g), _divexact(b, g)
 
 
 def _normalize_pair(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:

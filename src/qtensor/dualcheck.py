@@ -81,9 +81,10 @@ for it, as every premise check reads every entry; the tables are shared by
 the three suites of one ``verify_stages`` run.  Words are applied by
 ``tensorspace._word_images``, the package's one word recursion: a word's
 image on a basis vector is its suffix's image pushed through the head's
-table, memoised per basis vector.  The relations' right-hand sides, the
-Specht residuals and the rank elimination of the root-vector check are sums
-through ``tensorspace.lincomb``.
+table, memoised per basis vector; a grouplike's product over the letters of
+an index is its suffix's product times the head's factor.  The relations'
+right-hand sides, the Specht residuals and the rank elimination of the
+root-vector check are sums through ``tensorspace.lincomb``.
 """
 
 from __future__ import annotations
@@ -250,14 +251,17 @@ def specht_matrices(lam: Partition, n: int, r: int, field: ScalarField) -> Spech
 
 def invariants_basis(n: int, r: int, field: ScalarField) -> list[MaximalVectorRecord]:
     """Walk vectors ending at a rectangular shape with n rows: a basis of the
-    invariants of the traceless subalgebra.  Empty unless n divides r."""
+    invariants of the traceless subalgebra.  Empty unless n divides r.  E_i,
+    F_i and K~_i are checked where i or i + 1 is a letter of the vector: the
+    others kill it or fix it on every index."""
     if r % n != 0:
         return []
     shape = Partition((r // n,) * n) if r else Partition()
     records = maximal_basis(n, r, field, shape)
     for rec in records:
         v = rec.vector
-        for i in range(1, n):
+        letters = {a for idx in v.coeffs for a in idx}
+        for i in sorted({i for a in letters for i in (a - 1, a) if 1 <= i < n}):
             if not apply_E(i, v).is_zero or not apply_F(i, v).is_zero:
                 raise RuntimeError(f"vector for walk {rec.walk} is not invariant")
             if apply_tK(i, v) != v:
@@ -609,14 +613,14 @@ def _on_slots(R: dict, n: int, rank: int, s: int) -> dict:
 
 
 def _cached(form):
-    """``form(words, gen, ...)``, computed once per generator and kept in
+    """``form(words, gen)``, computed once per generator and kept in
     ``words.forms`` for every suite that asks for it."""
 
     @functools.wraps(form)
-    def cached(words: _Words, gen, *args):
+    def cached(words: _Words, gen):
         key = (form.__name__, gen)
         if key not in words.forms:
-            words.forms[key] = form(words, gen, *args)
+            words.forms[key] = form(words, gen)
         return words.forms[key]
 
     return cached
@@ -638,46 +642,41 @@ def _two_site(words: _Words, t) -> dict | None:
     return R
 
 
-def _products(words: _Words, k: dict, start):
-    """The function t -> start * k(t_1) * ... * k(t_m) on tuples of letters,
-    memoised by prefix; products are shared."""
-    one, prod = words.one, {(): start}
-
-    def product(t):
-        p = prod.get(t)
-        if p is None:
-            x, y = product(t[:-1]), k[t[-1]]
-            p = prod[t] = y if x is one else x if y is one else words.share(x * y)
-        return p
-
-    return product
+def _grouplike_product(words: _Words, k: dict, start):
+    """The function t -> start * k(t_m) * ... * k(t_1) on tuples of letters,
+    by ``_word_images``, so tuples that share a suffix share its product,
+    and each product is put through ``words.share``."""
+    one = words.one
+    return _word_images(start, lambda a, x: k[a] if x is one else x if k[a] is one else words.share(x * k[a]))
 
 
 def _coproduct_images(words: _Words, e: dict, kappa: dict, indices, right: bool):
     """(idx, image) of the sum over slots s of the one-site e on slot s and
     the diagonal kappa on every slot left of s (right of s, if ``right``):
-    the iterated coproduct of E_j (of F_j, with K~_j^-1 for kappa)."""
-    one, product = words.one, _products(words, kappa, words.one)
+    the iterated coproduct of E_j (of F_j, with K~_j^-1 for kappa).  Both
+    sides of s are read off the index reversed once: the slots left of s are
+    a suffix of it, those right of s a prefix, multiplied out from s on."""
+    one, product = words.one, _grouplike_product(words, kappa, words.one)
     for idx in indices:
-        image = {}
+        image, back = {}, idx[::-1]
         for s, a in enumerate(idx):
             if e[a]:
-                p = product(idx[s + 1:] if right else idx[:s])
+                p = product(back[:len(idx) - s - 1] if right else back[len(idx) - s:])
                 for b, x in e[a].items():
                     image[idx[:s] + (b,) + idx[s + 1:]] = p if x is one else x if p is one else x * p
         yield idx, image
 
 
 @_cached
-def _coproduct_form(words: _Words, gen, right: bool) -> tuple | None:
+def _coproduct_form(words: _Words, gen) -> tuple | None:
     """(e, kappa, Δ(gen) on V⊗V), if gen's table on all n^r vectors (r > 1)
     is the iterated coproduct of a one-site e with no diagonal entry (so the
     slots' terms never meet) and a diagonal grouplike kappa, else None.  e(a)
     is read off the image of (a, 1, ..., 1), and kappa(a) off the second
     slot's term in that of (a, b, 1, ..., 1), for a b with a nonzero
-    coefficient in e(b); with ``right``, all is mirrored (the last slots,
-    kappa on the right)."""
-    n, one, table = words.n, words.one, words.table(gen)
+    coefficient in e(b); for F_j, all is mirrored (the last slots, kappa on
+    the right)."""
+    n, one, table, right = words.n, words.one, words.table(gen), gen[0] is apply_F
     letters, fill = range(1, n + 1), (1,) * (words.r - 1)
     flip = (lambda t: t[::-1]) if right else (lambda t: t)
     e = {a: {flip(k)[0]: c for k, c in table[flip((a,) + fill)].items() if flip(k)[1:] == fill} for a in letters}
@@ -698,7 +697,7 @@ def _tensor_power(words: _Words, gen) -> tuple | None:
     vectors is c k⊗...⊗k for a one-site k with k(b) = 1, where b = j mod n + 1
     (so for the true K_j and n > 1, c = 1 and k(a) = q^δ(a,j)), else None.
     At r = 0, k is 1 and c the one eigenvalue.  Products are taken over
-    sorted indices, so only sorted prefixes are multiplied out."""
+    sorted indices, reversed, so only sorted prefixes are multiplied out."""
     table, zero, r, b = words.table(gen), words.field.zero(), words.r, (gen[1] % words.n + 1,)
     if any(len(image) > 1 or image and idx not in image for idx, image in table.items()):
         return None
@@ -707,8 +706,8 @@ def _tensor_power(words: _Words, gen) -> tuple | None:
     if not c:
         return None
     k = {a: words.share(lam((a,) + b * (r - 1)) / c) if r else words.one for a in range(1, words.n + 1)}
-    product = _products(words, k, c)
-    return (c, k) if all(lam(idx) == product(tuple(sorted(idx))) for idx in table) else None
+    product = _grouplike_product(words, k, c)
+    return (c, k) if all(lam(idx) == product(tuple(sorted(idx, reverse=True))) for idx in table) else None
 
 
 def _one_site(words: _Words) -> _Words | None:
@@ -733,7 +732,7 @@ def _one_site(words: _Words) -> _Words | None:
     for j in range(1, n):
         h = {a: (a == j) - (a == j + 1) for a in letters}
         for action, sign in ((apply_E, 1), (apply_F, -1)):
-            form = _coproduct_form(words, (action, j), sign < 0)
+            form = _coproduct_form(words, (action, j))
             if form is None or form[1] != {a: field.q_power(sign * h[a]) for a in letters}:
                 return None
             local.tables[action, j] = {(a,): {(b,): x for b, x in form[0][a].items()} for a in letters}
@@ -804,7 +803,7 @@ def check_commuting_actions(n: int, r: int, field: ScalarField, *,
         if gen[0] not in (apply_E, apply_F):  # c k⊗...⊗k commutes with T_i when k⊗k does with R^(i)
             power = _tensor_power(words, gen)
             return power is not None and keeps(i, power[1])
-        form = _coproduct_form(words, gen, gen[0] is apply_F)
+        form = _coproduct_form(words, gen)
         # E's terms on slots after i+1 (F's: before i) put kappa⊗kappa on T_i's slots
         last = 1 if gen[0] is apply_F else r - 1
         return (form is not None and (i == last or keeps(i, form[1]))
@@ -836,20 +835,25 @@ def verify_stages(n: int, r: int, field: ScalarField):
     """The full battery at one size, stage by stage: yields ``(stage,
     checks)`` for build (no checks), maximality, Gram, norms (against the Gram
     diagonal), counting, quantum, Hecke and commuting, in that order.  The
-    three relation suites share one table of generator images.  Each stage
-    runs when the generator is resumed, so the gaps between yields time it."""
+    three relation suites share one table of generator images.  A failing
+    maximality, orthogonality or norm row names its first failing walk (walk
+    pair, for orthogonality).  Each stage runs when the generator is resumed,
+    so the gaps between yields time it."""
     records = maximal_basis(n, r, field)
     yield "build", []
 
-    yield "maximality", [CheckResult(
-        "maximality", all([rec.vector.r == 0 or is_maximal(rec.vector) for rec in records]),
-        f"{len(records)} walk vectors")]
+    bad = next((rec.walk for rec in records if rec.vector.r and not is_maximal(rec.vector)), None)
+    yield "maximality", [CheckResult("maximality", bad is None, f"{len(records)} walk vectors" + (
+        "" if bad is None else f"; walk {bad} is not maximal"))]
 
     gram = gram_check(records)
-    yield "Gram", [CheckResult("orthogonality", gram.ok, f"{len(records)}x{len(records)} Gram matrix")]
+    yield "Gram", [CheckResult("orthogonality", gram.ok, f"{len(records)}x{len(records)} Gram matrix" + (
+        "; first violation at walks {} and {}".format(*gram.violations[0]) if gram.violations else ""))]
 
-    yield "norms", [CheckResult("norm formula", all([
-        norm_predict(rec.walk, field) == norm for rec, norm in zip(records, gram.diagonal)]))]
+    bad = next(((rec.walk, norm, predicted) for rec, norm in zip(records, gram.diagonal)
+                if (predicted := norm_predict(rec.walk, field)) != norm), None)
+    yield "norms", [CheckResult("norm formula", bad is None,
+                                "" if bad is None else "walk {}: Gram diagonal {}, closed form {}".format(*bad))]
 
     expected = sum(count_standard(lam) for lam in partitions_in(n, r))
     dim_ok = (

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .coeff import ScalarField, _Value
 from .combinatorics import Walk, _entry, a_const, c_const, d_const
-from .tensorspace import TensorVector, _act, _Cleared, _lower, _word_images, apply_E, lincomb, weight_of
+from .tensorspace import TensorVector, _act, _Cleared, _lower, _word_images, apply_E, lincomb
 
 __all__ = [
     "NegElement",
@@ -272,14 +272,15 @@ def build_c_pi(pi: Walk, field: ScalarField, n: int | None = None) -> MaximalVec
 
 
 def is_maximal(v: TensorVector) -> bool:
-    """True when v is a weight vector killed by every raising generator."""
+    """True when v is a weight vector killed by every raising generator.  Its
+    support has one letter content when its sorted indices agree, and E_i
+    kills every index without the letter i + 1, so only those E_i are applied."""
     if v.is_zero:
         raise ValueError("the zero vector is not classified")
-    try:
-        weight_of(v)
-    except ValueError:
+    contents = {tuple(sorted(idx)) for idx in v.coeffs}
+    if len(contents) > 1:
         return False
-    return all(apply_E(i, v).is_zero for i in range(1, v.n))
+    return all(apply_E(a - 1, v).is_zero for a in sorted(set(*contents)) if a > 1)
 
 
 # -- the basis-vector-to-lowering-element map -------------------------------------

@@ -6,8 +6,8 @@ pairing form) and divides once.
 
 Sparse accumulation lives in one place, ``lincomb``.  Every action is a rule
 for one basis index that ``_act`` extends linearly through it, and every word
-of actions in the package is applied by ``_word_images``, which memoises the
-image of each suffix.
+of actions in the package, and every product of one-site grouplikes over an
+index, is formed by ``_word_images``, which memoises the image of each suffix.
 
 Basis vectors are indexed by tuples a in {1..n}^r; the single-factor rules
 are F_i: v_i -> v_{i+1}, E_i: v_{i+1} -> v_i (all else to zero), with the
@@ -244,12 +244,12 @@ def _check_ef_index(i: int, n: int):
         raise ValueError(f"generator index {i} out of range 1..{n - 1}")
 
 
-def _coproduct(src: int, dst: int, power, unit, from_right: bool):
+def _coproduct(src: int, dst: int, power):
     """Basis rule of E_i (src i+1, dst i, scanned from the left) and F_i
     (src i, dst i+1, from the right) via the iterated coproduct: each slot
     holding src in turn becomes dst, times power(e) for q^e, where e = #dst -
-    #src over the slots already passed, which carry the coroot grouplike;
-    ``unit`` is power(0)."""
+    #src over the slots already passed, which carry the coroot grouplike."""
+    unit, from_right = power(0), src < dst
 
     def rule(idx):
         if src not in idx:
@@ -272,16 +272,14 @@ def apply_E(i: int, v: TensorVector) -> TensorVector:
     """Raising generator via the iterated coproduct: grouplike factors to the
     left of the active slot contribute a power of q."""
     _check_ef_index(i, v.n)
-    field = v.field
-    return _apply(v, _coproduct(i + 1, i, field.q_power, field.one(), False))
+    return _apply(v, _coproduct(i + 1, i, v.field.q_power))
 
 
 def apply_F(i: int, v: TensorVector) -> TensorVector:
     """Lowering generator: inverse grouplike factors to the right of the
     active slot contribute the power of q."""
     _check_ef_index(i, v.n)
-    field = v.field
-    return _apply(v, _coproduct(i, i + 1, field.q_power, field.one(), True))
+    return _apply(v, _coproduct(i, i + 1, v.field.q_power))
 
 
 def _lower(i: int, coeffs: dict, power, one, rules: dict) -> dict:
@@ -291,7 +289,7 @@ def _lower(i: int, coeffs: dict, power, one, rules: dict) -> dict:
     memoised by index, across calls.  ``one`` is as in ``lincomb``."""
     rule = rules.get(i)
     if rule is None:
-        rule = rules[i] = cache(_coproduct(i, i + 1, power, power(0), True))
+        rule = rules[i] = cache(_coproduct(i, i + 1, power))
     return _act(coeffs, rule, one)
 
 

@@ -317,6 +317,29 @@ def test_invariants_command(capsys):
     assert status == 0 and "0 invariant" in out
 
 
+def test_huge_alphabet_reports_touch_only_the_letters_present(capsys):
+    status, out, _ = run(["decompose", "--n", "1000000000000", "--r", "2"], capsys)
+    assert status == 0
+    assert out.splitlines() == [
+        "tensor power 1000000000000^2 = 1000000000000000000000000",
+        "  shape 2: dim 500000000000500000000000 x multiplicity 1 (1 walks, maximal=True, orthogonal=True)",
+        "  shape 1,1: dim 499999999999500000000000 x multiplicity 1 (1 walks, maximal=True, orthogonal=True)",
+        "identity: holds",
+    ]
+    status, out, _ = run(["invariants", "--n", "1000000000000", "--r", "0"], capsys)
+    assert status == 0
+    assert out.splitlines() == ["1 invariant vector(s) in degree 0 over 1000000000000 letters", "walk []: v[]"]
+
+
+def test_out_of_memory_is_a_one_line_error(capsys, monkeypatch):
+    def exhausted(cfg):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._DISPATCH, "verify", exhausted)
+    status, out, err = run(["verify", "--n", "2", "--r", "2"], capsys)
+    assert (status, out, err) == (1, "", "error: out of memory\n")
+
+
 def _python(*args):
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": str(SRC)})

@@ -348,12 +348,10 @@ def test_exponent_bound_raises_overflow():
         (top + 1) * LaurentPoly({1: 1, 0: 1})  # general product
 
 
-def test_inexact_division_raises_arithmetic_error():
-    assert coeff._divexact([1, 2, 1], [1, 1]) == [1, 1]
-    with pytest.raises(ArithmeticError):
-        coeff._divexact([1, 2], [1, 1])  # (1 + 2q) / (1 + q)
-    with pytest.raises(ArithmeticError):
-        coeff._divexact([1, 0, 1], [1, 1])  # (1 + q^2) / (1 + q)
+def test_inexact_division_returns_none():
+    assert coeff._divide([1, 2, 1], [1, 1]) == [1, 1]
+    assert coeff._divide([1, 2], [1, 1]) is None  # (1 + 2q) / (1 + q)
+    assert coeff._divide([1, 0, 1], [1, 1]) is None  # (1 + q^2) / (1 + q)
 
 
 # -- integer gcd against the sympy oracle ------------------------------------
@@ -399,14 +397,22 @@ def test_poly_gcd_matches_sympy(a, b, c, u, v):
     x = _primitive_dense(a * c * u)
     y = _primitive_dense(b * c * v)
     _assert_gcd(x, y)
-    assert coeff._prs_gcd(x, y) == _sympy_gcd(x, y)
 
 
-@pytest.mark.parametrize("tries", [coeff._HEU_GCD_TRIES, 0], ids=["heuristic", "prs-fallback"])
-def test_poly_gcd_huge_coefficients(monkeypatch, tries):
-    # The heuristic succeeds on every such input tried, so zero tries is what
-    # routes these operands through the primitive-PRS fallback.
-    monkeypatch.setattr(coeff, "_HEU_GCD_TRIES", tries)
+@pytest.mark.parametrize("a,b,candidates", [
+    ([1, 0, -1], [1, 0, 3, 0, 5, 0, 6, 0, 6, 0, 5, 0, 3, 0, 1], 3),
+    ([-1, 0, 1], [1, 0, 1, 0, 1, 0, 1, 0, 1], 2),
+], ids=["three xi", "two xi"])
+def test_poly_gcd_retries_xi_until_a_candidate_divides(a, b, candidates, monkeypatch):
+    # pairs met in the generic (4,7) Specht stage whose first candidates fail
+    # the trial division: the gcd reads one candidate per xi until one passes
+    reads, real = [], coeff._digits
+    monkeypatch.setattr(coeff, "_digits", lambda v, xi: reads.append(xi) or real(v, xi))
+    _assert_gcd(a, b)
+    assert len(reads) >= candidates and len(set(reads)) == len(reads)
+
+
+def test_poly_gcd_huge_coefficients():
     rng = random.Random(20)
 
     def poly(deg, bound):

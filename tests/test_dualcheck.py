@@ -22,7 +22,7 @@ from qtensor.dualcheck import (
     specht_matrices,
     verify_suite,
 )
-from qtensor.psiphi import apply_neg, build_c_pi, psi
+from qtensor.psiphi import MaximalVectorRecord, apply_neg, build_c_pi, psi
 from qtensor.tensorspace import (
     TensorVector,
     apply_E,
@@ -438,6 +438,34 @@ def exhaustive_commuting_actions(n, r, field):
     return {"commuting actions": ok}
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
+def test_verify_names_the_first_failing_walk(field, monkeypatch):
+    real = dualcheck.maximal_basis
+    passing = [(c.name, c.ok, c.detail) for c in verify_suite(2, 2, field).checks]
+    assert passing[:3] == [("maximality", True, "2 walk vectors"), ("orthogonality", True, "2x2 Gram matrix"),
+                           ("norm formula", True, "")]
+
+    def corrupted(n, r, field, shape=None):
+        # v[1,1] added to the vector of the walk [1,2]: mixed content, not
+        # orthogonal to the vector v[1,1] of [1,1], and a larger norm
+        records = real(n, r, field, shape)
+        rec = records[1]
+        vector = rec.vector + TensorVector.basis(field, n, (1, 1))
+        records[1] = MaximalVectorRecord(walk=rec.walk, vector=vector, weight=rec.weight)
+        return records
+
+    monkeypatch.setattr(dualcheck, "maximal_basis", corrupted)
+    rows = {c.name: c for c in verify_suite(2, 2, field).checks}
+    walk = Walk((1, 2))
+    predicted = norm_predict(walk, field)
+    assert (rows["maximality"].ok, rows["maximality"].detail) == (False, "2 walk vectors; walk [1,2] is not maximal")
+    assert (rows["orthogonality"].ok, rows["orthogonality"].detail) == (
+        False, "2x2 Gram matrix; first violation at walks [1,1] and [1,2]")
+    assert (rows["norm formula"].ok, rows["norm formula"].detail) == (
+        False, f"walk [1,2]: Gram diagonal {predicted + field.one()}, closed form {predicted}")
+    assert [(c.name, c.ok, c.detail) for c in rows.values()][3:] == passing[3:]
+
+
 def _relation_rows(n, r, field):
     """{row name: verdict} of the Hecke and commuting suites, sharing tables
     as a battery does."""
@@ -577,8 +605,8 @@ def _broken_premises(n, r, field):
     """The generators whose local form the suites cannot use."""
     words = dualcheck._Words(field, n, r)
     broken = {f"T_{i}" for i in range(1, r) if dualcheck._two_site(words, (dualcheck.apply_T, i)) is None}
-    broken |= {f"{x}_{j}" for x, right in (("E", False), ("F", True)) for j in range(1, n)
-               if dualcheck._coproduct_form(words, (getattr(dualcheck, "apply_" + x), j), right) is None}
+    broken |= {f"{x}_{j}" for x in ("E", "F") for j in range(1, n)
+               if dualcheck._coproduct_form(words, (getattr(dualcheck, "apply_" + x), j)) is None}
     broken |= {f"{x}_{j}" for x, action, m in (("K~", dualcheck.apply_tK, n - 1), ("K", dualcheck.apply_K, n))
                for j in range(1, m + 1) if dualcheck._tensor_power(words, (action, j)) is None}
     return broken
@@ -625,7 +653,7 @@ def _squared_grouplike_E1(real):
         if i != 1:
             return real(i, v)
         f = v.field
-        return tensorspace._apply(v, tensorspace._coproduct(2, 1, lambda e: f.q_power(2 * e), f.one(), False))
+        return tensorspace._apply(v, tensorspace._coproduct(2, 1, lambda e: f.q_power(2 * e)))
 
     return apply_E
 
@@ -643,7 +671,7 @@ def _broken_quantum_premises(n, r, field):
                if None not in (k["K", j], k["K^-1", j]) and k["K", j][0] * k["K^-1", j][0] != field.one()}
     for x, sign in (("E", 1), ("F", -1)):
         for j in range(1, n):
-            form = dualcheck._coproduct_form(words, (getattr(dualcheck, "apply_" + x), j), sign < 0)
+            form = dualcheck._coproduct_form(words, (getattr(dualcheck, "apply_" + x), j))
             if form is None:
                 broken.add(f"{x}_{j}")
             elif form[1] != {a: q(sign * ((a == j) - (a == j + 1))) for a in letters}:

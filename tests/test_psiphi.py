@@ -360,6 +360,29 @@ def test_is_maximal_examples():
         is_maximal(TensorVector.zero(GEN, 2, 2))
 
 
+def test_is_maximal_reads_only_the_letters_present(monkeypatch):
+    # over 10**12 letters the check costs what it does over 2: one content,
+    # and E_i only where the letter i + 1 occurs
+    n, q = 10**12, GEN.q_power(1)
+    c = TensorVector(GEN, n, 2, {(2, 1): GEN.one(), (1, 2): -GEN.q_power(-1)})
+    assert is_maximal(c)
+    assert not is_maximal(TensorVector(GEN, n, 2, {(1, 2): GEN.one(), (1, 1): GEN.one()}))
+    real, applied = psiphi.apply_E, []
+
+    def skewed(i, v):
+        # a stray q on E_1 of the basis vectors that start with the letter 2
+        applied.append(i)
+        out = TensorVector.zero(v.field, v.n, v.r)
+        for idx, x in v.coeffs.items():
+            image = real(i, TensorVector(v.field, v.n, v.r, {idx: x}))
+            out = out + (image.scale(q) if i == 1 and idx[0] == 2 else image)
+        return out
+
+    monkeypatch.setattr(psiphi, "apply_E", skewed)
+    assert not is_maximal(c)
+    assert applied == [1]
+
+
 def test_xi_map_entries():
     entries = xi_map(2, P((2, 1)), GEN)
     assert len(entries) == 1
