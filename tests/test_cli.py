@@ -340,6 +340,28 @@ def test_out_of_memory_is_a_one_line_error(capsys, monkeypatch):
     assert (status, out, err) == (1, "", "error: out of memory\n")
 
 
+@pytest.mark.parametrize("n,r", [("9", "9"), ("1000000000000", "0"), ("2", "1000000000")])
+def test_verify_refuses_tables_that_cannot_fit(n, r, capsys, monkeypatch):
+    # refused before anything is built: at these sizes the battery never finishes
+    monkeypatch.setattr(dualcheck, "verify_suite", lambda *args: pytest.fail("verify_suite was reached"))
+    start = time.perf_counter()
+    status, out, err = run(["verify", "--n", n, "--r", r], capsys)
+    assert time.perf_counter() - start < 1
+    assert status == 2 and out == "" and "Traceback" not in err
+    assert err.splitlines()[0] == (f"error: verify --n {n} --r {r} would tabulate (5n + r)*n^r generator images,"
+                                   " more than the limit of 10,000,000")
+
+
+def test_verify_sizes_in_use_pass_the_table_guard(capsys, monkeypatch):
+    # every verify of the tests, the goldens, the benchmark reference and
+    # stage_times.py (up to n=4, r=7) reaches the battery
+    monkeypatch.setattr(dualcheck, "verify_suite", lambda n, r, field: dualcheck.VerifyReport(n=n, r=r, checks=[]))
+    reference = json.loads((SRC.parent / "bench" / "reference.json").read_text())
+    runs = [(key, job["exit"]) for key, job in reference.items() if key.startswith("verify")]
+    runs += [(f"verify --n {n} --r {r}", 0) for n in range(1, 5) for r in range(8)]
+    assert [run(key.split(), capsys)[0] for key, _ in runs] == [status for _, status in runs]
+
+
 def _python(*args):
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": str(SRC)})

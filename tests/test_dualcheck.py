@@ -302,13 +302,15 @@ def test_verify_suite_specialized():
     assert rep.ok
 
 
-def test_cleared_pairings_specialize():
+@pytest.mark.parametrize("q0", ["2", "3/2", "-5", "7/3"])
+def test_cleared_pairings_specialize(q0):
     # Gram diagonals and Specht matrices from cleared pairings on the generic
     # field, evaluated at q0, equal the ones computed at q0
-    q0 = Fraction(3, 2)
     spec = ScalarField.at(q0)
-    generic = gram_check(maximal_basis(3, 4, GEN))
-    assert [specialize(d, q0) for d in generic.diagonal] == gram_check(maximal_basis(3, 4, spec)).diagonal
+    generic, records = gram_check(maximal_basis(3, 4, GEN)), maximal_basis(3, 4, spec)
+    diagonal = gram_check(records).diagonal
+    assert [specialize(d, q0) for d in generic.diagonal] == diagonal
+    assert [norm_predict(rec.walk, spec) for rec in records] == diagonal  # and the closed-form norms at q0
     for lam in partitions_in(3, 4):
         gdata, sdata = specht_matrices(lam, 3, 4, GEN), specht_matrices(lam, 3, 4, spec)
         assert [specialize(c, q0) for c in gdata.gram_diagonal] == sdata.gram_diagonal
