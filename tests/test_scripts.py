@@ -5,7 +5,7 @@ tests import, and must exit 0 with its success line, print one row per
 stage, and say when a row is a minimum over runs.  Like the command line, it
 parses its flags in full and refuses sizes it cannot run with exit 2.
 `check_reference.py` is loaded in-process and must list a job whose digest
-differs.
+differs and a job that no workload defines.
 """
 
 import importlib.util
@@ -48,6 +48,7 @@ def test_script_smoke(script, args, expected):
 @pytest.mark.parametrize("script,args,message", [
     ("stage_times.py", ["--n", "0", "--r", "2"], "need --n >= 1 and --r >= 0"),
     ("stage_times.py", ["--n", "2", "--r", "2", "--rep", "2"], "unrecognized arguments: --rep 2"),
+    ("stage_times.py", ["--n", "2", "--r", "2", "--repeat", "0"], "--repeat must be at least 1"),
 ])
 def test_scripts_refuse_what_the_cli_refuses(script, args, message):
     # a usage error, exit 2, before any work: no traceback
@@ -70,3 +71,18 @@ def test_check_reference_lists_a_differing_job(monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in out[:-1]] == [bad]
     assert out[-1] == "1 of 2 reference jobs match"
+
+
+def test_check_reference_lists_a_job_no_workload_defines(monkeypatch, capsys):
+    # a reference key that names no benchmark job is reported, not skipped,
+    # and the script exits 1 after checking the jobs that do exist
+    spec = importlib.util.spec_from_file_location("check_reference", REPO / "scripts" / "check_reference.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    reference = script.load_reference()
+    good, unknown = "walks --n 2 --r 2 --output json", "walks --n 2 --r 99 --output json"
+    subset = {good: reference[good], unknown: dict(reference[good])}
+    monkeypatch.setattr(script, "load_reference", lambda: subset)
+    assert script.main() == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"{unknown}: no workload defines this job", "1 of 2 reference jobs match"]
