@@ -6,9 +6,12 @@ and decomposition reports.  Exit status: 0 on success, 1 when a verification
 assertion fails, 2 on usage errors, among them a --shape that is not a
 partition of --r into at most --n parts (for psi, which ignores --r: a
 --shape with more than --n parts), and any --shape given to verify, decompose
-or invariants, which run over every shape, and a verify whose generator
-tables, (5n + r)*n^r images, pass a fixed limit.  A run that exhausts
-memory exits 1 with a one-line error.
+or invariants, which run over every shape, and a verify that passes a fixed
+limit on its generator images ((5n + r)*n^r), its index length r, its
+quantum relation checks (about 4.5n^2 pairs, each set up once and checked on
+n^min(r,1) vectors) or its Gram pairs (W(W+1)/2 for W walk vectors); each
+limit admits runs of up to about a minute.  A run that exhausts memory exits
+1 with a one-line error.
 
 Flag grammar::
 
@@ -30,7 +33,7 @@ import sys
 
 from . import dualcheck, psiphi, tensorspace
 from .coeff import ScalarField
-from .combinatorics import Partition, enumerate_walks, partitions_in
+from .combinatorics import Partition, count_standard, enumerate_walks, partitions_in
 
 __all__ = ["run_cli", "main"]
 
@@ -38,9 +41,16 @@ COMMANDS = ("walks", "vectors", "psi", "verify", "norms", "specht", "decompose",
 SHAPE_OF_DEGREE_R = ("walks", "vectors", "norms", "specht")
 ALL_SHAPES = ("verify", "decompose", "invariants")
 _JSON = json.JSONEncoder(separators=(",", ":"))
-# verify tabulates each generator on all n^r basis vectors, at about 265 B per
-# image with the build (376,832 images peaked at 116.7 MB): 10^7 is ~2.6 GB
+# verify's limits, from costs measured at q0=3/2 (generic runs are slower):
+# 265 B per generator image with the build (376,832 images peaked at 116.7 MB),
+# so 10^7 is ~2.6 GB; at n = 1, time and memory grow as r^2 (11.8 s and 399 MB
+# at r = 10^4); about 8 us per relation check (4.55 million at n = 100, r = 1
+# took 37 s); about 80 us per Gram pair with the battery (1,473,186 at n = 2,
+# r = 13 took 116 s)
 _VERIFY_IMAGE_LIMIT = 10**7
+_VERIFY_R_LIMIT = 20_000
+_VERIFY_CHECK_LIMIT = 7_500_000
+_VERIFY_GRAM_LIMIT = 750_000
 
 
 class _UsageError(Exception):
@@ -78,6 +88,12 @@ def _attach_negative_q0(argv: list[str]) -> list[str]:
     return out
 
 
+def _refuse_over(cfg: argparse.Namespace, count: int, limit: int, what: str) -> None:
+    if count > limit:
+        raise _UsageError(f"verify --n {cfg.n} --r {cfg.r} would {what.format(count)},"
+                          f" more than the limit of {limit:,}")
+
+
 def _parse_config(argv: list[str]) -> argparse.Namespace:
     """The parsed flags, with ``shape`` a validated `Partition` (or None) and
     ``field`` the one `ScalarField` of the run."""
@@ -100,12 +116,20 @@ def _parse_config(argv: list[str]) -> argparse.Namespace:
     if cfg.r < 0:
         raise _UsageError("--r must be nonnegative")
     if cfg.command == "verify":
-        images, factors = 5 * cfg.n + cfg.r, cfg.r if cfg.n > 1 else 0  # n^r is never formed: --r can be huge
+        n, r = cfg.n, cfg.r
+        images, factors = 5 * n + r, r if n > 1 else 0  # n^r is never formed: --r can be huge
         while factors and images <= _VERIFY_IMAGE_LIMIT:
-            images, factors = images * cfg.n, factors - 1
+            images, factors = images * n, factors - 1
         if images > _VERIFY_IMAGE_LIMIT:
-            raise _UsageError(f"verify --n {cfg.n} --r {cfg.r} would tabulate (5n + r)*n^r generator images,"
+            raise _UsageError(f"verify --n {n} --r {r} would tabulate (5n + r)*n^r generator images,"
                               f" more than the limit of {_VERIFY_IMAGE_LIMIT:,}")
+        # r first: W's count of the one-row shape forms r!
+        _refuse_over(cfg, r, _VERIFY_R_LIMIT, "build index tuples of length {:,}")
+        _refuse_over(cfg, 9 * n * n // 2 * ((n if r else 1) + 1), _VERIFY_CHECK_LIMIT, "make {:,} quantum relation"
+                     " checks (about 4.5n^2 pairs, each set up once and checked on n^min(r,1) vectors)")
+        walks = sum(count_standard(lam) for lam in partitions_in(n, r))
+        _refuse_over(cfg, walks * (walks + 1) // 2, _VERIFY_GRAM_LIMIT,
+                     f"pair {{:,}} Gram entries (W(W+1)/2 for W = {walks:,} walk vectors)")
     shape = cfg.shape
     if shape is not None and cfg.command in SHAPE_OF_DEGREE_R and (shape.size != cfg.r or shape.nrows > cfg.n):
         raise _UsageError(f"--shape {shape} is not a partition of --r {cfg.r} into at most --n {cfg.n} parts")

@@ -352,13 +352,34 @@ def test_verify_refuses_tables_that_cannot_fit(n, r, capsys, monkeypatch):
                                    " more than the limit of 10,000,000")
 
 
-def test_verify_sizes_in_use_pass_the_table_guard(capsys, monkeypatch):
-    # every verify of the tests, the goldens, the benchmark reference and
-    # stage_times.py (up to n=4, r=7) reaches the battery
+@pytest.mark.parametrize("n,r,reason", [
+    ("1000", "0", "make 9,000,000 quantum relation checks (about 4.5n^2 pairs, each set up once and checked on"
+                  " n^min(r,1) vectors), more than the limit of 7,500,000"),
+    ("150", "1", "make 15,288,750 quantum relation checks (about 4.5n^2 pairs, each set up once and checked on"
+                 " n^min(r,1) vectors), more than the limit of 7,500,000"),
+    ("2", "14", "pair 5,891,028 Gram entries (W(W+1)/2 for W = 3,432 walk vectors), more than the limit of 750,000"),
+    ("1", "100000", "build index tuples of length 100,000, more than the limit of 20,000"),
+], ids=["1000-0", "150-1", "2-14", "1-100000"])
+def test_verify_refuses_runs_over_a_minute(n, r, reason, capsys, monkeypatch):
+    # these pass the table guard, but each would run for about a minute or more
+    monkeypatch.setattr(dualcheck, "verify_suite", lambda *args: pytest.fail("verify_suite was reached"))
+    start = time.perf_counter()
+    status, out, err = run(["verify", "--n", n, "--r", r], capsys)
+    assert time.perf_counter() - start < 1
+    assert status == 2 and out == "" and "Traceback" not in err
+    assert err.splitlines()[0] == f"error: verify --n {n} --r {r} would {reason}"
+
+
+def test_verify_sizes_in_use_pass_the_size_guard(capsys, monkeypatch):
+    # every verify of the tests, the goldens, the benchmark reference, CI and
+    # stage_times.py (up to n=4, r=7) reaches the battery, as do the largest
+    # runs each new limit admits; one step past them is refused
     monkeypatch.setattr(dualcheck, "verify_suite", lambda n, r, field: dualcheck.VerifyReport(n=n, r=r, checks=[]))
     reference = json.loads((SRC.parent / "bench" / "reference.json").read_text())
     runs = [(key, job["exit"]) for key, job in reference.items() if key.startswith("verify")]
     runs += [(f"verify --n {n} --r {r}", 0) for n in range(1, 5) for r in range(8)]
+    runs += [(f"verify --n {n} --r {r}", 0) for n, r in [(1, 40), (5, 2), (912, 0), (118, 1), (2, 12), (1, 20000)]]
+    runs += [(f"verify --n {n} --r {r}", 2) for n, r in [(913, 0), (119, 1), (2, 13), (1, 20001)]]
     assert [run(key.split(), capsys)[0] for key, _ in runs] == [status for _, status in runs]
 
 

@@ -498,13 +498,14 @@ def test_true_actions_give_the_exhaustive_quantum_verdicts(field):
 
 
 def _fallbacks(monkeypatch):
-    """The list that (row name, pair label) is appended to whenever a pair
-    reaches ``_decide`` unproved, to be compared on the n^r vectors."""
+    """The list that (row name, pair label) is appended to for every pair
+    that reaches ``_decide``, to be compared on the n^r vectors: a row lists
+    only the pairs that no local lemma proves."""
     decide, fallbacks = dualcheck._decide, []
 
     def spy(w, name, pairs):
         pairs = list(pairs)
-        fallbacks.extend((name, label) for label, holds, _ in pairs if not holds)
+        fallbacks.extend((name, label) for label, _ in pairs)
         return decide(w, name, pairs)
 
     monkeypatch.setattr(dualcheck, "_decide", spy)
@@ -524,6 +525,16 @@ def test_local_suites_pass_without_a_scan(n, r, field, monkeypatch):
     assert [(c.ok, c.detail) for c in rows] == [(True, "")] * 11 and fallbacks == []
     assert all(_exhaustive_rows(n, r, field).values())
     assert all(exhaustive_quantum_relations(n, r, field).values())
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
+@pytest.mark.parametrize("n,r", [(1, 40), (3, 0), (3, 4), (5, 2)])
+def test_passing_batteries_hand_decide_no_pair(n, r, field, monkeypatch):
+    # a row lists only the pairs that no local lemma proves, so a passing
+    # battery builds no label and no test for a proved pair
+    fallbacks = _fallbacks(monkeypatch)
+    report = dualcheck.verify_suite(n, r, field)
+    assert report.ok and len(report.checks) == 15 and fallbacks == []
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
