@@ -667,11 +667,12 @@ class ScalarField(_Value):
       D the lcm of the denominators: a positive int over ints at q0, and on
       Q(q) a `LaurentPoly` of lowest exponent 0, positive leading coefficient;
       ``pair`` pairs two, and ``_pairing_form(v)`` is vector v's (its clear);
-    - ``numerator_ring(r)`` gives (clear, power, den, over) for building
-      vectors with q-exponents in [-r, r]: q^e = power(e) / den, over(x, d) is
-      x / d in the field; at q0 that ring is ``clear``'s, and ``_pairing_form``
-      reads a built vector as is.  ``_ring_memo(r)`` keeps its F_i rules beside
-      the powers of q, ``_join`` sums cleared parts, ``_text(x, D)`` renders x / D.
+    - ``numerator_ring(r)`` gives (power, den) for building vectors with
+      q-exponents in [-r, r], q^e = power(e) / den; ``_ring_clear(coeffs)``
+      is (D, numerators) in that ring, and ``_ring_over(x, D)`` is x / D in
+      the field.  At q0 the ring is ``clear``'s, and ``_pairing_form`` reads a
+      built vector as is.  ``_ring_memo(r)`` keeps its F_i rules beside the
+      powers of q, ``_join`` sums cleared parts, ``_text(x, D)`` renders x / D.
 
     The one, the zero and q - q^-1 are built once, so ``c is field.one()``
     spots the one, and powers of q live in one memo per field.  None is a
@@ -764,8 +765,10 @@ class _GenericField(ScalarField):
     def numerator_ring(self, r: int) -> tuple:
         """The field itself, over D = den = 1: a `LaurentPoly` numerator would
         pay a gcd per term it reaches; a field element times q^e pays none."""
-        return (lambda coeffs: (1, coeffs)), self.q_power, 1, (lambda x, d: x)
+        return self.q_power, 1
 
+    _ring_clear = staticmethod(lambda coeffs: (1, coeffs))
+    _ring_over = staticmethod(lambda x, D: x)
     _join = staticmethod(lambda parts: (1, {k: x for _, nums in parts for k, x in nums.items()}))
     _text = staticmethod(lambda x, D: str(x))
 
@@ -789,7 +792,7 @@ class _RationalField(ScalarField):
     """Q at q = q0: `Fraction` values over int numerators."""
 
     __slots__ = ()
-    _quotient = from_int = parse = Fraction
+    _quotient = _ring_over = from_int = parse = Fraction
 
     def __init__(self, q0: Fraction | int | str):
         super().__init__(_admissible_q0(q0))
@@ -804,6 +807,7 @@ class _RationalField(ScalarField):
         D = lcm(*[c.denominator for c in coeffs.values()])
         return D, {k: c.numerator * (D // c.denominator) for k, c in coeffs.items()}
 
+    _ring_clear = clear
     _pairing_form = staticmethod(lambda v: v._numerators())
 
     def numerator_ring(self, r: int) -> tuple:
@@ -813,7 +817,7 @@ class _RationalField(ScalarField):
             a, b = self.q0.numerator, self.q0.denominator
             table = {e: a ** (r + e) * b ** (r - e) for e in range(-r, r + 1)}
             memo.setdefault(key, (table.__getitem__, (a * b) ** r))
-        return self.clear, *memo[key], Fraction
+        return memo[key]
 
     @staticmethod
     def _join(parts) -> tuple:

@@ -82,10 +82,10 @@ for it, as every premise check reads every entry; the tables are shared by
 the three suites of one ``verify_stages`` run.  Words are applied by
 ``tensorspace._word_images``, the package's one word recursion: a word's
 image on a basis vector is its suffix's image pushed through the head's
-table, memoised per basis vector; a grouplike's product over the letters of
-an index is its suffix's product times the head's factor.  The relations'
-right-hand sides, the Specht residuals and the rank elimination of the
-root-vector check are sums through ``tensorspace.lincomb``.
+table, memoised per basis vector; a coproduct's grouplike product over the
+slots beside a slot is its suffix's product times the head's factor.  The
+relations' right-hand sides, the Specht residuals and the rank elimination
+of the root-vector check are sums through ``tensorspace.lincomb``.
 """
 
 from __future__ import annotations
@@ -693,8 +693,9 @@ def _tensor_power(words: _Words, gen) -> tuple | None:
     """(c, k), if gen = (action, j) is diagonal and its table on all n^r
     vectors is c k⊗...⊗k for a one-site k with k(b) = 1, where b = j mod n + 1
     (so for the true K_j and n > 1, c = 1 and k(a) = q^δ(a,j)), else None.
-    At r = 0, k is 1 and c the one eigenvalue.  Products are taken over
-    sorted indices, reversed, so only sorted prefixes are multiplied out."""
+    At r = 0, k is 1 and c the one eigenvalue.  The product is multiplied out
+    once per letter content, keyed by the sorted index: a memo of suffixes
+    would hold r tuples of mean length r/2 at n = 1."""
     table, zero, r, b = words.table(gen), words.field.zero(), words.r, (gen[1] % words.n + 1,)
     if any(len(image) > 1 or image and idx not in image for idx, image in table.items()):
         return None
@@ -703,8 +704,8 @@ def _tensor_power(words: _Words, gen) -> tuple | None:
     if not c:
         return None
     k = {a: words.share(lam((a,) + b * (r - 1)) / c) if r else words.one for a in range(1, words.n + 1)}
-    product = _grouplike_product(words, k, c)
-    return (c, k) if all(lam(idx) == product(tuple(sorted(idx, reverse=True))) for idx in table) else None
+    product = functools.cache(lambda key: functools.reduce(lambda x, a: x if k[a] is words.one else x * k[a], key, c))
+    return (c, k) if all(lam(idx) == product(tuple(sorted(idx))) for idx in table) else None
 
 
 def _one_site(words: _Words) -> _Words | None:

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .coeff import ScalarField, _Value
 from .combinatorics import Walk, _entry, a_const, c_const, d_const
-from .tensorspace import TensorVector, _act, _Cleared, _lower, _word_images, apply_E, lincomb
+from .tensorspace import TensorVector, _act, _lower, _word_images, apply_E, lincomb
 
 __all__ = [
     "NegElement",
@@ -222,11 +222,12 @@ def phi(m: int, weight, b: TensorVector) -> TensorVector:
     one of that weight plus a unit in row m, in one more tensor factor (new
     factor on the left).  The image of b is m (x) b plus, for each (j, xi_j)
     of ``xi_map``, (-q^-1)^(m-j) j (x) xi_j(b); letters in the order m .. 1.
-    b is read, and the image kept, as (D, numerators) in the field's numerator
-    ring (``ScalarField.numerator_ring``): at q0, integers over D > 0 with no
-    common factor; on Q(q), the coefficients over 1.  So m (x) b is b as it
-    stands, and the whole image for m = 1.  The xi_j times (-q^-1)^(m-j) are
-    cleared once per (m, weight, degree) and kept in the field's ring memo.
+    b is read (``_numerators``), and the image held, as (D, numerators) in
+    the field's numerator ring: at q0, integers over D > 0 with no common
+    factor; on Q(q), the coefficients over 1.  So m (x) b is b as it stands,
+    and the whole image for m = 1, which needs no ring powers of q.  The xi_j
+    times (-q^-1)^(m-j) are cleared once per (m, weight, degree) and kept in
+    the field's ring memo.
     """
     if m < 1:
         raise ValueError("need m >= 1")
@@ -235,21 +236,21 @@ def phi(m: int, weight, b: TensorVector) -> TensorVector:
         raise AddabilityError(f"row {m} is not addable at weight {tuple(weight)}")
     if m > b.n:
         raise ValueError(f"letter {m} out of range 1..{b.n}")
-    degree = max(b.r, 1) - 1
-    clear, power, den, over = field.numerator_ring(degree)
     D, nums = b._numerators()
     head = (D, {(m,) + k: x for k, x in nums.items()})
     if m == 1:
-        return _Cleared(field, b.n, b.r + 1, head, over)
+        return TensorVector._raw(field, b.n, b.r + 1, head)
+    degree = max(b.r, 1) - 1
+    power, den = field.numerator_ring(degree)
     one, rules = field.one(), field._ring_memo(degree)
     key = (m, tuple(weight))
     if (table := rules.get(key)) is None:
         table = rules[key] = [(j, dj * den ** (m - j), cw) for j, xi in reversed(xi_map(m, weight, field))
-                              for dj, cw in [clear(xi.scale((-field.q_power(-1)) ** (m - j)).terms)]]
+                              for dj, cw in [field._ring_clear(xi.scale((-field.q_power(-1)) ** (m - j)).terms)]]
     # words act through the memoised F_i rules, sharing suffix images; parts have disjoint keys
     image = _word_images(nums, lambda i, coeffs: _lower(i, coeffs, power, one, rules))
     parts = [head] + [(D * d, {(j,) + k: x for k, x in _act(cw, image, one).items()}) for j, d, cw in table]
-    return _Cleared(field, b.n, b.r + 1, field._join(parts), over)
+    return TensorVector._raw(field, b.n, b.r + 1, field._join(parts))
 
 
 class MaximalVectorRecord(_Value):
@@ -264,8 +265,8 @@ def build_c_pi(pi: Walk, field: ScalarField, n: int | None = None) -> MaximalVec
     of the zeroth tensor power, cleared (q^0 over den, both 1 in degree 0)."""
     if n is None:
         n = max(pi.rows, default=1)
-    _, power, den, over = field.numerator_ring(0)
-    vec = _Cleared(field, n, 0, (den, {(): power(0)}), over)
+    power, den = field.numerator_ring(0)
+    vec = TensorVector._raw(field, n, 0, (den, {(): power(0)}))
     for k, lam in zip(pi.rows, pi.shapes):
         vec = phi(k, lam, vec)
     return MaximalVectorRecord(walk=pi, vector=vec, weight=pi.terminal())

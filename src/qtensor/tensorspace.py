@@ -75,16 +75,16 @@ def lincomb(pairs, one) -> dict:
 
 
 class TensorVector:
-    """Finitely supported map from index tuples to scalars."""
+    """Finitely supported map from index tuples to scalars, held as its
+    coefficients or, as ``psiphi`` builds it, as (D, numerators) in its
+    field's numerator ring: coefficient k is numerators[k] / D, divided out
+    on the first read of ``coeffs`` (two readers at once form equal dicts)."""
 
-    __slots__ = ("field", "n", "r", "coeffs")
+    __slots__ = ("field", "n", "r", "_coeffs", "_cleared")
 
     def __init__(self, field: ScalarField, n: int, r: int, coeffs: dict[Index, object] | None = None):
         if n < 1 or r < 0:
             raise ValueError("need n >= 1 and r >= 0")
-        self.field = field
-        self.n = n
-        self.r = r
         clean: dict[Index, object] = {}
         if coeffs:
             for idx, c in coeffs.items():
@@ -93,9 +93,16 @@ class TensorVector:
                 if len(idx) != r or any(not 1 <= a <= n for a in idx):
                     raise ValueError(f"bad index {idx} for degree {r} over {n} letters")
                 clean[idx] = c
-        self.coeffs = clean
+        self.field, self.n, self.r, self._coeffs, self._cleared = field, n, r, clean, None
 
     # -- constructors --------------------------------------------------------
+
+    @staticmethod
+    def _raw(field: ScalarField, n: int, r: int, cleared: tuple) -> TensorVector:
+        """The vector held as ``cleared``, its coefficients not yet divided out."""
+        v = TensorVector.__new__(TensorVector)
+        v.field, v.n, v.r, v._coeffs, v._cleared = field, n, r, None, cleared
+        return v
 
     @classmethod
     def zero(cls, field: ScalarField, n: int, r: int) -> TensorVector:
@@ -113,6 +120,13 @@ class TensorVector:
     # -- structure -----------------------------------------------------------
 
     @property
+    def coeffs(self) -> dict[Index, object]:
+        if self._coeffs is None:
+            (D, nums), over = self._cleared, self.field._ring_over
+            self._coeffs = {k: over(x, D) for k, x in nums.items()}
+        return self._coeffs
+
+    @property
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -120,8 +134,8 @@ class TensorVector:
         return bool(self.coeffs)
 
     def _numerators(self) -> tuple:
-        """(D, numerators) in the field's numerator ring (``numerator_ring``)."""
-        return self.field.numerator_ring(0)[0](self.coeffs)
+        """(D, numerators): as stored, or the coefficients cleared in the ring."""
+        return self._cleared or self.field._ring_clear(self._coeffs)
 
     def _texts(self) -> list[tuple[Index, str]]:
         """(index, coefficient text) in index order; each distinct numerator is rendered once."""
@@ -157,7 +171,8 @@ class TensorVector:
         v.field = self.field
         v.n = self.n
         v.r = self.r
-        v.coeffs = coeffs
+        v._coeffs = coeffs
+        v._cleared = None
         return v
 
     def __eq__(self, other: object) -> bool:
@@ -175,29 +190,6 @@ class TensorVector:
         return f"TensorVector({self.n},{self.r}; {format_vector(self)})"
 
 
-class _Cleared(TensorVector):
-    """A vector held as ``cleared`` = (D, numerators) in its field's numerator
-    ring, as ``_numerators`` returns it to rendering and, at q0, pairing:
-    coefficient k is over(numerators[k], D), divided out only on the first
-    read of ``coeffs`` (two readers at once form equal dicts)."""
-
-    __slots__ = ("cleared", "_over", "_divided")
-
-    def __init__(self, field: ScalarField, n: int, r: int, cleared: tuple, over):
-        self.field, self.n, self.r = field, n, r
-        self.cleared, self._over, self._divided = cleared, over, None
-
-    @property
-    def coeffs(self) -> dict:
-        if self._divided is None:
-            D, nums = self.cleared
-            self._divided = {k: self._over(x, D) for k, x in nums.items()}
-        return self._divided
-
-    def _numerators(self) -> tuple:
-        return self.cleared
-
-
 # -- generator actions ---------------------------------------------------------
 
 
@@ -211,7 +203,7 @@ def _act(coeffs: dict, rule, one) -> dict:
 def _apply(v: TensorVector, rule) -> TensorVector:
     """An action given by a basis rule whose images are fresh dicts without
     zero entries; a basis vector's image is the rule's own dict."""
-    coeffs, one = v.coeffs, v.field.one()
+    coeffs, one = v._coeffs or v.coeffs, v.field.one()  # the property, a call per read, divides a cleared vector
     if len(coeffs) == 1:
         (idx, c), = coeffs.items()
         if c is one:

@@ -1,8 +1,10 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 from functools import partial
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from qtensor import cli, dualcheck, tensorspace
@@ -70,6 +72,20 @@ def test_gram_detects_corruption():
     recs[1] = type(recs[1])(walk=recs[1].walk, vector=bad, weight=recs[1].weight)
     report = gram_check(recs)
     assert not report.ok and report.violations
+
+
+@pytest.mark.parametrize("field", [GEN, ScalarField.at("3/2")], ids=["generic", "q0"])
+def test_gram_flags_a_walk_vector_of_zero_norm(field):
+    # a walk vector replaced by zero is orthogonal to every other one, but its
+    # own Gram diagonal vanishes: the one violation is the walk paired with itself
+    recs = maximal_basis(3, 3, field)
+    true = gram_check(recs)
+    rec = recs[1]
+    recs[1] = MaximalVectorRecord(walk=rec.walk, vector=TensorVector.zero(field, 3, 3), weight=rec.weight)
+    report = gram_check(recs)
+    assert report.violations == [(rec.walk, rec.walk)] and not report.ok
+    assert not report.diagonal[1] and report.diagonal[1] == field.zero()
+    assert [d for i, d in enumerate(report.diagonal) if i != 1] == [d for i, d in enumerate(true.diagonal) if i != 1]
 
 
 def test_norm_examples():
@@ -241,6 +257,20 @@ def test_invariants_examples():
     assert len(invariants_basis(2, 4, GEN)) == 2
 
 
+@pytest.mark.parametrize("action, message", [("apply_E", "is not invariant"),
+                                             ("apply_tK", "is not of trivial coroot weight")])
+def test_invariants_command_reports_a_vector_that_is_not_invariant(action, message, monkeypatch, capsys):
+    # a skewed E_1 no longer kills the invariant of V⊗V, and a skewed K~_1 no
+    # longer fixes it: invariants_basis raises, and the command exits 1 with a
+    # one-line error naming the walk
+    monkeypatch.setattr(dualcheck, action, _skewed(getattr(dualcheck, action)))
+    with pytest.raises(RuntimeError, match=f"^vector for walk \\[1,2\\] {message}$"):
+        invariants_basis(2, 2, GEN)
+    assert cli.run_cli(["invariants", "--n", "2", "--r", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: vector for walk [1,2] {message}\n"
+
+
 def test_decomposition_examples():
     rep = decomposition_report(2, 2, GEN)
     assert rep.identity_ok and rep.total == 4
@@ -277,6 +307,36 @@ def test_root_vector_reports():
         root_vector_check(P((3, 2, 1)), 2, GEN)
 
 
+def _sympy_rank(rows: list[dict]) -> int:
+    keys, q = sorted({k for row in rows for k in row}), sympy.Symbol("q")
+    laurent = lambda p: sympy.Add(*(c * q**e for e, c in p.terms().items()))
+    entry = lambda c: (sympy.Rational(c.numerator, c.denominator) if isinstance(c, Fraction)
+                       else laurent(c.num) / laurent(c.den))
+    return sympy.Matrix([[entry(row[k]) if k in row else 0 for k in keys] for row in rows]).rank(simplify=True)
+
+
+@pytest.mark.parametrize("field", [GEN, ScalarField.at("3/2"), ScalarField.at("-2/5")], ids=str)
+def test_rank_eliminates_dependent_and_overlapping_rows(field):
+    # rows that share pivots and keys, and rows that are combinations of
+    # earlier ones, so the elimination step runs and some rows reduce to zero
+    one, q, qint = field.one(), field.q_power, field.qint
+    b1, b2, b3 = {1: q(1), 2: one}, {1: one, 3: qint(2)}, {2: qint(3), 4: q(-2), 5: one}
+    comb = lambda *pairs: lincomb(pairs, one)
+    rows = [b1, b2, comb((qint(2), b1), (q(1), b2)), b3, comb((one, b2), (-q(-1), b3)),
+            {1: one, 2: one, 3: one, 4: one, 5: one}, comb((q(2), b1), (one, b3), (-qint(3), b2)), {5: qint(2)}]
+    prefixes = [rows[:k] for k in range(len(rows) + 1)]
+    assert [dualcheck._rank(p, one) for p in prefixes] == [_sympy_rank(p) for p in prefixes]
+    assert dualcheck._rank(rows, one) == 5 < len(rows)
+    assert dualcheck._rank(rows[::-1], one) == 5
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(1, 4), st.integers(-2, 2).filter(bool), max_size=4), max_size=6))
+def test_rank_of_small_integer_rows_matches_sympy(rows):
+    rows = [{k: Fraction(c) for k, c in row.items()} for row in rows]
+    assert dualcheck._rank(rows, Fraction(1)) == _sympy_rank(rows)
+
+
 def test_root_vector_check_builds_the_first_walk(monkeypatch):
     # the walk filling row 1, then row 2, ... is the first one enumerate_walks lists
     built, build = [], dualcheck.build_c_pi
@@ -295,6 +355,22 @@ def test_verify_suite_passes():
     assert "maximality" in names and "orthogonality" in names
     d = rep.to_json_dict()
     assert d["ok"] is True and len(d["checks"]) == len(rep.checks)
+
+
+@pytest.mark.parametrize("field", [GEN, ScalarField.at(Fraction(3, 2))], ids=["generic", "q0"])
+def test_tensor_power_memory_is_linear_in_r(field):
+    # K_1 at n = 1 is q^r on the one index of length r; its product is kept
+    # once per letter content, not once per suffix of the sorted index (a
+    # suffix memo holds about r^2/2 letters, 16 MB at r = 2000)
+    words = dualcheck._Words(field, 1, 2000)
+    tracemalloc.start()
+    try:
+        form = dualcheck._tensor_power(words, (apply_K, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert form == (field.q_power(2000), {1: field.one()})
+    assert peak < 1_000_000
 
 
 def test_verify_suite_specialized():
@@ -331,7 +407,8 @@ def test_q0_readers_take_walk_vectors_as_stored(q0, monkeypatch):
     def divided(v):
         raise AssertionError("a walk vector was divided into the field")
 
-    monkeypatch.setattr(tensorspace._Cleared, "coeffs", property(divided))
+    held = TensorVector.coeffs.fget
+    monkeypatch.setattr(TensorVector, "coeffs", property(lambda v: divided(v) if v._coeffs is None else held(v)))
     records = maximal_basis(n, r, field)
     assert gram_check(records) == gram
     assert [bilinear(rec.vector, rec.vector) for rec in records] == gram.diagonal

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -176,6 +177,23 @@ def test_build_c_pi_reproduces_explicit_vectors():
         assert is_maximal(rec.vector)
 
 
+@pytest.mark.parametrize("q0", ["3/2", "-2/5"])
+def test_row_one_steps_tabulate_no_ring_powers(q0):
+    # a row-1 step only puts the letter 1 in front of b's numerators, so the
+    # one-row walk builds none of the degree-d tables of ring powers of q
+    # (2d + 1 integers of about 2.6d bits at 3/2, O(r^3) bits summed over d)
+    field = ScalarField.at(q0)
+    tracemalloc.start()
+    try:
+        rec = build_c_pi(Walk((1,) * 400), field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.vector._numerators() == (1, {(1,) * 400: 1})
+    assert rec.vector.coeffs == {(1,) * 400: field.one()}
+    assert peak < 1_000_000
+
+
 def test_phi_weight_and_degree():
     b = build_c_pi(Walk((1, 2)), GEN, 3)
     out = phi(1, b.weight, b.vector)
@@ -233,7 +251,7 @@ def test_records_divide_their_cleared_form_into_the_field_valued_vector(n, r, fi
     # at q0 the record's (D, numerators) is the canonical clear: D > 0 and no
     # factor common to D and every numerator.  On every field the pairing
     # form is the clear of the field-valued vector.
-    _, _, _, over = field.numerator_ring(r)
+    over = field._ring_over
     oracle = {(): TensorVector.unit(field, n)}
     for rec in maximal_basis(n, r, field):
         rows = rec.walk.rows
@@ -494,25 +512,20 @@ def test_specialized_field_construction():
 
 
 def _count_ring_clears_and_phi(monkeypatch, field):
-    # every clear in the numerator ring goes through the function that
-    # numerator_ring returns; counting its calls counts them all
+    # every clear in the numerator ring goes through the field's
+    # _ring_clear; counting its calls counts them all
     counts = {"clear": 0, "phi": 0}
-    real_ring, real_phi = type(field).numerator_ring, psiphi.phi
+    real_clear, real_phi = field._ring_clear, psiphi.phi
 
-    def numerator_ring(self, r):
-        clear, *rest = real_ring(self, r)
-
-        def counted_clear(coeffs):
-            counts["clear"] += 1
-            return clear(coeffs)
-
-        return (counted_clear, *rest)
+    def counted_clear(coeffs):
+        counts["clear"] += 1
+        return real_clear(coeffs)
 
     def counted_phi(*args, **kwargs):
         counts["phi"] += 1
         return real_phi(*args, **kwargs)
 
-    monkeypatch.setattr(type(field), "numerator_ring", numerator_ring)
+    monkeypatch.setattr(type(field), "_ring_clear", staticmethod(counted_clear))
     monkeypatch.setattr(psiphi, "phi", counted_phi)
     return counts
 
