@@ -42,11 +42,11 @@ SHAPE_OF_DEGREE_R = ("walks", "vectors", "norms", "specht")
 ALL_SHAPES = ("verify", "decompose", "invariants")
 _JSON = json.JSONEncoder(separators=(",", ":"))
 # verify's limits, from costs measured at q0=3/2 (generic runs are slower):
-# 265 B per generator image with the build (376,832 images peaked at 116.7 MB),
-# so 10^7 is ~2.6 GB; at n = 1, time grows as r^2 (7 s at r = 10^4, 28 s at
-# r = 2*10^4); about 8 us per relation check (4.55 million at n = 100, r = 1
-# took 37 s); about 80 us per Gram pair with the battery (1,473,186 at n = 2,
-# r = 13 took 116 s)
+# about 4.4 us per generator image with the battery (2,500,000 at n = 5,
+# r = 7 took 11 s), so 10^7 is about a minute; at n = 1, time grows as r^2
+# (5 s at r = 10^4, 20 s at r = 2*10^4); about 8 us per relation check
+# (4.55 million at n = 100, r = 1 took 37 s); about 80 us per Gram pair with
+# the battery (1,473,186 at n = 2, r = 13 took 116 s)
 _VERIFY_IMAGE_LIMIT = 10**7
 _VERIFY_R_LIMIT = 20_000
 _VERIFY_CHECK_LIMIT = 7_500_000

@@ -201,9 +201,10 @@ class LaurentPoly:
         """Multiply by q^k."""
         return _laurent({e + k: c for e, c in self._terms.items()})
 
-    def evaluate(self, q0: Fraction) -> Fraction:
-        if q0 == 0:
-            raise ValueError("cannot evaluate a Laurent polynomial at 0")
+    def evaluate(self, q0: Fraction | int) -> Fraction:
+        if not isinstance(q0, (int, Fraction)) or q0 == 0:
+            raise ValueError(f"cannot evaluate a Laurent polynomial at {q0!r}: need a nonzero int or Fraction")
+        q0 = Fraction(q0)
         return sum((c * q0**e for e, c in self._terms.items()), Fraction(0))
 
     # -- comparison --------------------------------------------------------
@@ -521,7 +522,7 @@ class RatFunc:
         # canonical form is preserved by powering coprime parts
         return RatFunc._raw(self.num**k, self.den**k)
 
-    def evaluate(self, q0: Fraction) -> Fraction:
+    def evaluate(self, q0: Fraction | int) -> Fraction:
         d = self.den.evaluate(q0)
         if d == 0:
             raise ZeroDivisionError(f"denominator vanishes at q = {q0}")

@@ -75,17 +75,14 @@ or V⊗V⊗V (Jimbo 1986):
   row's verdict is the exhaustive one, and a failing row's ``detail`` names
   its first failing pair at its first failing index, with the residual.
 
-Each generator's table holds its images of all n^r basis vectors, computed
-in one pass by the tensor action itself (looked up in this module when the
-suite runs, so a replaced action is the one checked) when a suite first asks
-for it, as every premise check reads every entry; the tables are shared by
-the three suites of one ``verify_stages`` run.  Words are applied by
-``tensorspace._word_images``, the package's one word recursion: a word's
-image on a basis vector is its suffix's image pushed through the head's
-table, memoised per basis vector; a coproduct's grouplike product over the
-slots beside a slot is its suffix's product times the head's factor.  The
-relations' right-hand sides, the Specht residuals and the rank elimination
-of the root-vector check are sums through ``tensorspace.lincomb``.
+A premise reads its generator's images of the n^r basis vectors one at a
+time, as the tensor action computes them (looked up in this module when the
+suite runs, so a replaced action is the one checked), and keeps none.  Words
+are composed on tables (``_Words``), which only a fallback pair and U1-U7 at
+r <= 1 fill, by ``tensorspace._word_images``: a word's image on a basis
+vector is its suffix's image pushed through the head's table, memoised per
+basis vector.  The relations' right-hand sides, the Specht residuals and the
+rank elimination of the root-vector check are sums through ``lincomb``.
 """
 
 from __future__ import annotations
@@ -421,18 +418,17 @@ class _Words:
     """Images of generator words on the index basis vectors of degree r,
     shared by the suites of one battery.
 
-    A generator is a pair (action, i) such as (apply_E, 2).  Its table holds
-    its images of all n^r basis vectors, computed whole by the action itself
-    when the generator is first asked for (every premise check reads every
-    entry).  Equal index tuples share one object, which keeps the tables of a
-    whole battery small.  The coefficients are the field's memoised ones
-    (one, q, q - q^-1, q^e), so a coefficient equal to one is ``self.one`` and
-    composing skips those products; ``share`` gives computed values the same
-    property.  ``words(g1, ..., gk)`` is g1(...gk(v)) for the current basis
-    vector v, memoised by suffix until ``start`` moves on to the next basis
-    vector.  A generator may also be any key whose table is put in ``tables``
-    whole, such as a local form on V⊗V; ``forms`` keeps each generator's local
-    form (``_cached``) for every suite that uses it.
+    A generator is a pair (action, i) such as (apply_E, 2), applied by the
+    action itself.  ``image`` and ``images`` compute its images of single
+    basis vectors and keep none; ``table`` keeps all n^r of them, for the
+    words that ``start`` composes.  The coefficients are the field's memoised
+    ones (one, q, q - q^-1, q^e), so a coefficient equal to one is
+    ``self.one`` and composing skips those products; ``share`` gives computed
+    values the same property.  ``words(g1, ..., gk)`` is g1(...gk(v)) for the
+    current basis vector v, memoised by suffix until ``start`` moves on to the
+    next basis vector.  A generator may also be any key whose table is put in
+    ``tables`` whole, such as a local form on V⊗V; ``forms`` keeps each
+    generator's local form (``_cached``) for every suite that uses it.
     """
 
     def __init__(self, field: ScalarField, n: int, r: int):
@@ -448,14 +444,17 @@ class _Words:
     def share(self, x):
         return self.shared.setdefault(x, x)
 
+    def image(self, gen, idx: tuple[int, ...]) -> dict:
+        return gen[0](gen[1], self.zero._fresh({idx: self.one})).coeffs
+
+    def images(self, gen):
+        """(idx, image) over all n^r indices in order, one at a time."""
+        return ((idx, self.image(gen, idx)) for idx in _all_indices(self.n, self.r))
+
     def table(self, gen) -> dict:
         table = self.tables.get(gen)
         if table is None:
-            (action, i), shared = gen, self.shared
-            table = self.tables[gen] = {
-                shared.setdefault(idx, idx): {shared.setdefault(k, k): c for k, c in action(
-                    i, self.zero._fresh({idx: self.one})).coeffs.items()}
-                for idx in _all_indices(self.n, self.r)}
+            table = self.tables[gen] = dict(self.images(gen))
         return table
 
     def start(self, idx: tuple[int, ...]) -> dict:
@@ -629,7 +628,7 @@ def _two_site(words: _Words, t) -> dict | None:
     indices whose letters off slots (i, i+1) are 1, or None unless every
     T_i v_idx is R^(i) on those slots and the identity elsewhere."""
     i, R = t[1], {}
-    for idx, image in words.table(t).items():
+    for idx, image in words.images(t):
         head, ab, tail = idx[:i - 1], idx[i - 1:i + 1], idx[i + 1:]
         local = R.get(ab)
         if local is None:
@@ -639,26 +638,25 @@ def _two_site(words: _Words, t) -> dict | None:
     return R
 
 
-def _grouplike_product(words: _Words, k: dict, start):
-    """The function t -> start * k(t_m) * ... * k(t_1) on tuples of letters,
-    by ``_word_images``, so tuples that share a suffix share its product,
-    and each product is put through ``words.share``."""
+def _content_product(words: _Words, k: dict, start):
+    """The function t -> start * k(t_1) * ... * k(t_m) on tuples of letters,
+    multiplied out and shared once per letter content (the factors commute)."""
     one = words.one
-    return _word_images(start, lambda a, x: k[a] if x is one else x if k[a] is one else words.share(x * k[a]))
+    product = functools.cache(lambda key: words.share(functools.reduce(
+        lambda x, a: x if k[a] is one else k[a] if x is one else x * k[a], key, start)))
+    return lambda t: product(tuple(sorted(t)))
 
 
 def _coproduct_images(words: _Words, e: dict, kappa: dict, indices, right: bool):
     """(idx, image) of the sum over slots s of the one-site e on slot s and
     the diagonal kappa on every slot left of s (right of s, if ``right``):
-    the iterated coproduct of E_j (of F_j, with K~_j^-1 for kappa).  Both
-    sides of s are read off the index reversed once: the slots left of s are
-    a suffix of it, those right of s a prefix, multiplied out from s on."""
-    one, product = words.one, _grouplike_product(words, kappa, words.one)
+    the iterated coproduct of E_j (of F_j, with K~_j^-1 for kappa)."""
+    one, product = words.one, _content_product(words, kappa, words.one)
     for idx in indices:
-        image, back = {}, idx[::-1]
+        image = {}
         for s, a in enumerate(idx):
             if e[a]:
-                p = product(back[:len(idx) - s - 1] if right else back[len(idx) - s:])
+                p = product(idx[s + 1:] if right else idx[:s])
                 for b, x in e[a].items():
                     image[idx[:s] + (b,) + idx[s + 1:]] = p if x is one else x if p is one else x * p
         yield idx, image
@@ -666,46 +664,46 @@ def _coproduct_images(words: _Words, e: dict, kappa: dict, indices, right: bool)
 
 @_cached
 def _coproduct_form(words: _Words, gen) -> tuple | None:
-    """(e, kappa, Δ(gen) on V⊗V), if gen's table on all n^r vectors (r > 1)
-    is the iterated coproduct of a one-site e with no diagonal entry (so the
+    """(e, kappa, Δ(gen) on V⊗V), if gen's images of all n^r vectors (r > 1)
+    are the iterated coproduct of a one-site e with no diagonal entry (so the
     slots' terms never meet) and a diagonal grouplike kappa, else None.  e(a)
     is read off the image of (a, 1, ..., 1), and kappa(a) off the second
     slot's term in that of (a, b, 1, ..., 1), for a b with a nonzero
     coefficient in e(b); for F_j, all is mirrored (the last slots, kappa on
     the right)."""
-    n, one, table, right = words.n, words.one, words.table(gen), gen[0] is apply_F
+    n, one, right = words.n, words.one, gen[0] is apply_F
     letters, fill = range(1, n + 1), (1,) * (words.r - 1)
     flip = (lambda t: t[::-1]) if right else (lambda t: t)
-    e = {a: {flip(k)[0]: c for k, c in table[flip((a,) + fill)].items() if flip(k)[1:] == fill} for a in letters}
+    at = lambda idx: words.image(gen, flip(idx))
+    e = {a: {flip(k)[0]: c for k, c in at((a,) + fill).items() if flip(k)[1:] == fill} for a in letters}
     b, b2, c = next(((b, b2, c) for b in letters for b2, c in e[b].items() if c), (None,) * 3)
     if b is None or any(a in e[a] for a in letters):
         return None
     rest = fill[1:]
     kappa = {a: words.share(x if c is one else x / c) for a in letters
-             for x in [table[flip((a, b) + rest)].get(flip((a, b2) + rest), words.field.zero())]}
-    if not all(image == table[idx] for idx, image in _coproduct_images(words, e, kappa, table, right)):
+             for x in [at((a, b) + rest).get(flip((a, b2) + rest), words.field.zero())]}
+    if any(image != words.image(gen, idx) for idx, image in _coproduct_images(
+            words, e, kappa, _all_indices(n, words.r), right)):
         return None
     return e, kappa, dict(_coproduct_images(words, e, kappa, _all_indices(n, 2), right))
 
 
 @_cached
 def _tensor_power(words: _Words, gen) -> tuple | None:
-    """(c, k), if gen = (action, j) is diagonal and its table on all n^r
-    vectors is c k⊗...⊗k for a one-site k with k(b) = 1, where b = j mod n + 1
-    (so for the true K_j and n > 1, c = 1 and k(a) = q^δ(a,j)), else None.
-    At r = 0, k is 1 and c the one eigenvalue.  The product is multiplied out
-    once per letter content, keyed by the sorted index: a memo of suffixes
-    would hold r tuples of mean length r/2 at n = 1."""
-    table, zero, r, b = words.table(gen), words.field.zero(), words.r, (gen[1] % words.n + 1,)
-    if any(len(image) > 1 or image and idx not in image for idx, image in table.items()):
-        return None
-    lam = lambda idx: table[idx].get(idx, zero)
+    """(c, k), if gen = (action, j) is diagonal and its images of all n^r
+    vectors are c k⊗...⊗k for a one-site k with k(b) = 1, where b = j mod n
+    + 1 (so for the true K_j and n > 1, c = 1 and k(a) = q^δ(a,j)), else
+    None.  At r = 0, k is 1 and c the one eigenvalue."""
+    zero, r, b = words.field.zero(), words.r, (gen[1] % words.n + 1,)
+    lam = lambda idx: words.image(gen, idx).get(idx, zero)
     c = lam(b * r)
     if not c:
         return None
     k = {a: words.share(lam((a,) + b * (r - 1)) / c) if r else words.one for a in range(1, words.n + 1)}
-    product = functools.cache(lambda key: functools.reduce(lambda x, a: x if k[a] is words.one else x * k[a], key, c))
-    return (c, k) if all(lam(idx) == product(tuple(sorted(idx))) for idx in table) else None
+    product = _content_product(words, k, c)
+    if all(image.keys() <= {idx} and image.get(idx, zero) == product(idx) for idx, image in words.images(gen)):
+        return c, k
+    return None
 
 
 def _one_site(words: _Words) -> _Words | None:

@@ -6,8 +6,8 @@ pairing form) and divides once.
 
 Sparse accumulation lives in one place, ``lincomb``.  Every action is a rule
 for one basis index that ``_act`` extends linearly through it, and every word
-of actions in the package, and every product of one-site grouplikes over an
-index, is formed by ``_word_images``, which memoises the image of each suffix.
+of actions in the package is applied by ``_word_images``, which memoises the
+image of each suffix.
 
 Basis vectors are indexed by tuples a in {1..n}^r; the single-factor rules
 are F_i: v_i -> v_{i+1}, E_i: v_{i+1} -> v_i (all else to zero), with the

@@ -121,6 +121,48 @@ def test_specialize_examples():
             specialize(RatFunc.from_laurent(qint(2)), bad)
 
 
+def test_evaluate_is_exact_and_refuses_floats_and_zero():
+    # 2 ** -1 is a float in Python; the value at an int q0 is still a Fraction
+    half_sum, three_quarters = LaurentPoly({-1: 1, 1: 1}).evaluate(2), LaurentPoly({-2: 3}).evaluate(2)
+    assert (type(half_sum), half_sum) == (Fraction, Fraction(5, 2))
+    assert (type(three_quarters), three_quarters) == (Fraction, Fraction(3, 4))
+    # only specialize refuses the roots of unity
+    assert LaurentPoly({-1: 1, 1: 1}).evaluate(-1) == -2 and RatFunc(qint(2), qint(3)).evaluate(1) == Fraction(2, 3)
+    for x in (LaurentPoly({-1: 1, 1: 1}), RatFunc(LaurentPoly({-1: 1}), LaurentPoly({1: 1, 0: -2}))):
+        for bad in (0.5, 2.0, 0, Fraction(0)):
+            with pytest.raises(ValueError):
+                x.evaluate(bad)
+    with pytest.raises(ZeroDivisionError):  # 1/(q - 2) at 2
+        RatFunc(1, LaurentPoly({1: 1, 0: -2})).evaluate(2)
+
+
+def _sympy_ratio(x):
+    return (to_sympy(x.num), to_sympy(x.den)) if isinstance(x, RatFunc) else (to_sympy(x), sympy.Integer(1))
+
+
+@given(a=laurent_polys(), b=nonzero_laurent, c=nonzero_laurent, m=st.integers(-9, 9))
+@settings(max_examples=40, deadline=None)
+def test_reflected_arithmetic_against_sympy(a, b, c, m):
+    # the int and LaurentPoly left operands reach LaurentPoly.__rsub__,
+    # RatFunc.__rsub__ and RatFunc.__rtruediv__
+    x, y = RatFunc(a, b), RatFunc(c, b)
+    sa, sb, sc = map(to_sympy, (a, b, c))
+    cases = [(a - m, sa - m, 1), (m - a, m - sa, 1), (m - x, m * sb - sa, sb), (c - x, sc * sb - sa, sb),
+             (m / y, m * sb, sc), (a / y, sa * sb, sc)]
+    assert [type(got) for got, _, _ in cases] == [LaurentPoly] * 2 + [RatFunc] * 4
+    for got, num, den in cases:
+        got_num, got_den = _sympy_ratio(got)
+        assert sympy.expand(got_num * den - got_den * num) == 0
+
+
+def test_negative_laurent_powers_and_bad_terms_are_refused():
+    with pytest.raises(ValueError):
+        qint(2) ** -1
+    for text in ("2*x", "q^", "q + 3*q^1.5"):
+        with pytest.raises(ValueError):
+            parse_laurent(text)
+
+
 def test_qint_identity_a_exhaustive():
     # [y+1][z+1] - [y][z] = [y+z+1] over the stated window
     for y in range(-10, 11):

@@ -615,6 +615,24 @@ def test_passing_batteries_hand_decide_no_pair(n, r, field, monkeypatch):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
+@pytest.mark.parametrize("n,r", [(3, 3), (4, 5), (1, 40)])
+def test_passing_suites_keep_no_tables(n, r, field):
+    # the premises read each generator's images one at a time and keep
+    # none; tabulating all 4^5 images of the 21 generators at (4, 5) takes
+    # about 5.5 MB
+    words = dualcheck._Words(field, n, r)
+    tracemalloc.start()
+    try:
+        rows = (check_quantum_relations(n, r, field, words=words) + check_hecke_relations(n, r, field, words=words)
+                + [check_commuting_actions(n, r, field, words=words)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c.ok for c in rows) and words.tables == {}
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
 @pytest.mark.parametrize("n,r", [(3, 3), (2, 4)])
 def test_local_suites_give_the_exhaustive_verdicts_under_skews(n, r, field, monkeypatch):
     """Single-site skews: a stray q on the images of basis vectors with one
@@ -792,6 +810,32 @@ def test_a_broken_quantum_premise_falls_back_to_the_exhaustive_verdicts(mutant, 
     assert _broken_premises(n, r, field) == ({"K_1"} if mutant == "K_1 not a tensor power" else set())
     verdicts = _quantum_verdicts(n, r, field)
     assert verdicts == exhaustive_quantum_relations(n, r, field) and not all(verdicts.values())
+
+
+def _K1_moved_at_b(real, off_diagonal):
+    """K_1 with its image of v[b,...,b] (b = 2, where the true K_1 is 1)
+    taken out, or with v[1,...,1] added to that image."""
+
+    def apply_K(j, v, inverse=False):
+        out, c = real(j, v, inverse=inverse), v.coeffs.get((2,) * v.r)
+        if j != 1 or inverse or c is None:
+            return out
+        return out + TensorVector(v.field, v.n, v.r, {(1,) * v.r: c} if off_diagonal else {(2,) * v.r: -c})
+
+    return apply_K
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["generic", "q0"])
+@pytest.mark.parametrize("n,r", [(2, 2), (3, 3), (2, 4)])
+@pytest.mark.parametrize("off_diagonal", [False, True], ids=["no image at b", "off-diagonal at b"])
+def test_K1_broken_at_b_is_no_tensor_power(off_diagonal, n, r, field, monkeypatch):
+    # a zero eigenvalue c at (b,)*r, and a term off the diagonal there: each
+    # makes _tensor_power give None, and the suites fall back to their oracles
+    monkeypatch.setattr(dualcheck, "apply_K", _K1_moved_at_b(dualcheck.apply_K, off_diagonal))
+    assert dualcheck._tensor_power(dualcheck._Words(field, n, r), (dualcheck.apply_K, 1)) is None
+    rows, verdicts = _relation_rows(n, r, field), _quantum_verdicts(n, r, field)
+    assert rows == _exhaustive_rows(n, r, field) and verdicts == exhaustive_quantum_relations(n, r, field)
+    assert [*rows.values(), *verdicts.values()].count(False) == 3
 
 
 def _install(monkeypatch, datum):
